@@ -31,7 +31,7 @@ from ..faults.plan import FaultPlan
 from ..faults.transport import reliable_factory
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from ..sim.network import Network, RunResult
+from ..sim.network import Network, RunResult, all_finished
 from ..sim.process import Process
 
 __all__ = ["GhsProcess", "run_mst_ghs", "run_mst_fast"]
@@ -475,8 +475,7 @@ def _run(graph: WeightedGraph, parallel_scan: bool, delay, seed: int,
         comm_budget=budget,
         faults=faults,
     )
-    result = net.run(stop_when=lambda nw: nw.all_finished,
-                     max_events=max_events)
+    result = net.run(stop_when=all_finished, max_events=max_events)
     if not net.all_finished:
         if budget is not None or faults is not None:
             # Detectable abort: budget enforcement, or a fault adversary

@@ -37,7 +37,7 @@ from typing import Any
 from ..graphs.paths import diameter
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from ..sim.network import Network, RunResult
+from ..sim.network import Network, RunResult, all_finished
 from ..sim.process import Process
 
 __all__ = ["unit_expansion", "StripBfsProcess", "run_spt_recur"]
@@ -263,8 +263,7 @@ def run_spt_recur(
         seed=seed,
         comm_budget=budget,
     )
-    result = net.run(stop_when=lambda nw: nw.all_finished,
-                     max_events=max_events)
+    result = net.run(stop_when=all_finished, max_events=max_events)
     if not net.all_finished:
         if budget is not None:
             return result, None

@@ -24,7 +24,7 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from ..sim.network import Network, RunResult
+from ..sim.network import Network, RunResult, all_finished
 from ..sim.process import Process
 
 __all__ = ["DSHost", "run_with_termination_detection"]
@@ -145,8 +145,7 @@ def run_with_termination_detection(
         delay=delay,
         seed=seed,
     )
-    result = net.run(stop_when=lambda n: n.all_finished,
-                     max_events=max_events)
+    result = net.run(stop_when=all_finished, max_events=max_events)
     if not net.all_finished:
         raise RuntimeError("termination was never detected")
     return result

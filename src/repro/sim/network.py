@@ -27,15 +27,35 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..obs.runtime import default_recorder as _default_recorder
-from .delays import DelayModel, MaximalDelay
+from .delays import DelayModel, MaximalDelay, UniformDelay
 from .events import EventQueue
 from .metrics import Metrics
 from .process import Process
 
-__all__ = ["Network", "RunResult"]
+__all__ = ["Network", "RunResult", "all_finished"]
 
 # Shared no-op span for untraced runs (nullcontext is reusable/reentrant).
 _NULL_SPAN = nullcontext()
+
+# Send paths, chosen once per Network (see Network._transmit).  Zero is
+# the general branch; the others are the lean branch of a hook-free run,
+# by the delay model it inlines.
+_GENERAL = 0
+_LEAN_MAXIMAL = 1
+_LEAN_UNIFORM = 2
+_LEAN_OTHER = 3
+
+
+def all_finished(network: Network) -> bool:
+    """``stop_when`` predicate: every process has called ``finish()``.
+
+    :meth:`Network.run` recognizes this function: instead of polling it
+    before every event, the run halts its fast drain loop from the event
+    in which the last process finishes.  Status, fired events and metrics
+    are the same as for any equivalent predicate, such as
+    ``lambda net: net.all_finished``, which takes the per-event loop.
+    """
+    return network.all_finished
 
 
 class _NodeContext:
@@ -56,9 +76,10 @@ class _NodeContext:
         return self._network.queue.now
 
     def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
-        if to not in self.weights:
+        weight = self.weights.get(to)
+        if weight is None:
             raise ValueError(f"{self.node_id!r} has no edge to {to!r}")
-        self._network._transmit(self.node_id, to, payload, size, tag)
+        self._network._transmit(self.node_id, to, payload, size, tag, weight)
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> None:
         self._network._set_node_timer(self.node_id, delay, callback)
@@ -175,6 +196,13 @@ class Network:
         events when a recorder is attached) without aborting.  Never
         perturbs the run itself: the detector only observes, so results
         and metrics are byte-identical with and without it.
+
+    The send path is chosen once, here.  A run with no ``faults``, no
+    enabled recorder, no ``trace`` callback, no race detector and no
+    ``serialize`` is *hook-free*: its sends take a lean branch with the
+    metrics update, the budget check and the ``MaximalDelay`` /
+    ``UniformDelay`` draw inlined.  Results are identical either way;
+    setting these attributes after construction does not switch paths.
     """
 
     def __init__(
@@ -252,17 +280,70 @@ class Network:
             self.race_detector = RaceDetector(mode)
             self._race = self.race_detector
             self.race_detector.attach(self)
+        if (faults is not None or self._rec is not None or trace is not None
+                or self._race is not None or serialize):
+            self._send_path = _GENERAL
+        elif type(self.delay_model) is MaximalDelay:
+            self._send_path = _LEAN_MAXIMAL
+        elif type(self.delay_model) is UniformDelay:
+            self._send_path = _LEAN_UNIFORM
+        else:
+            self._send_path = _LEAN_OTHER
+        # Armed by run(stop_when=all_finished): the last finish() halts
+        # the queue's drain loop.
+        self._halt_on_finish = False
 
     # ------------------------------------------------------------------ #
     # Internal plumbing
     # ------------------------------------------------------------------ #
 
     def _transmit(
-        self, frm: Vertex, to: Vertex, payload: Any, size: float, tag: str | None
+        self, frm: Vertex, to: Vertex, payload: Any, size: float,
+        tag: str | None, weight: float,
     ) -> None:
+        path = self._send_path
+        if path:
+            # Lean branch of a hook-free run: the general branch below
+            # with Metrics.record_message, the budget check and the common
+            # delay models inlined, in the same order and arithmetic.
+            metrics = self.metrics
+            cost = weight * size
+            budget = self.comm_budget
+            if budget is not None and metrics.comm_cost + cost > budget:
+                self.budget_exhausted = True
+                self.queue.halted = True
+                return
+            tag = tag or self.default_tag
+            metrics.message_count += 1
+            metrics.comm_cost += cost
+            metrics.cost_by_tag[tag] += cost
+            metrics.count_by_tag[tag] += 1
+            queue = self.queue
+            if path == _LEAN_MAXIMAL:
+                # Every message on a channel takes the same w(e) and `now`
+                # never decreases, so the FIFO clamp below cannot bind.
+                arrive = queue.now + weight
+            else:
+                if path == _LEAN_UNIFORM:
+                    # UniformDelay.delay: rng.uniform(lo * w, hi * w).
+                    model = self.delay_model
+                    lo = model.lo * weight
+                    delay = lo + (model.hi * weight - lo) * self.rng.random()
+                    if not 0.0 <= delay <= weight:
+                        raise ValueError(f"delay {delay} outside [0, {weight}]")
+                else:
+                    delay = self.delay_model.delay(frm, to, weight, self.rng)
+                arrive = queue.now + delay
+                channel = (frm, to)
+                clear = self._channel_clear
+                prev = clear.get(channel)
+                if prev is not None and prev > arrive:
+                    arrive = prev
+                clear[channel] = arrive
+            queue.schedule_call_at(arrive, self._deliver, frm, to, payload)
+            return
         if frm in self._down:
             return  # a crashed node cannot transmit
-        weight = self.graph.weight(frm, to)
         if self.comm_budget is not None and (
             self.metrics.comm_cost + weight * size > self.comm_budget
         ):
@@ -405,6 +486,8 @@ class Network:
         self.metrics.last_finish_time = self.queue.now
         if self._rec is not None:
             self._rec.record_finish(self.queue.now, node)
+        if self._halt_on_finish and self._finished_count == len(self.processes):
+            self.queue.halted = True
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -428,6 +511,11 @@ class Network:
         the deadline still run; none past it does), or ``max_events``
         events have fired (a runaway-protocol backstop that raises
         ``RuntimeError``).  The reason is reported as ``RunResult.status``.
+
+        With no ``stop_when``, or with ``stop_when=all_finished``, the
+        queue drains itself in its fast loop (the last ``finish()`` halts
+        it); any other predicate is polled before every event.  Both give
+        the same status, event count and metrics.
         """
         if self.faults is not None:
             reset = getattr(self.faults, "reset", None)
@@ -448,20 +536,31 @@ class Network:
                     proc.on_start()
         status = "quiescent"
         fired = 0
-        if stop_when is None:
+        self._halt_on_finish = halting = stop_when is all_finished
+        if self.budget_exhausted:
+            pass  # a send in on_start overspent: no event fires
+        elif halting and self.all_finished:
+            if self.queue:
+                status = "stopped"
+        elif stop_when is None or halting:
             # Fast path: let the queue drain itself in one tight loop.
-            # The halt probe is only needed when a budget can suppress
-            # sends mid-run (the only thing that halts the queue).
+            # The halt probe is needed only when something can halt the
+            # queue mid-run: a budget suppressing a send, or the last
+            # finish() under stop_when=all_finished.
             reason, fired = self.queue.run(
                 max_time=max_time,
                 max_events=max_events,
-                check_halt=self.comm_budget is not None,
+                check_halt=halting or self.comm_budget is not None,
             )
-            if reason == "max_events":
+            if reason == "max_events" or fired >= max_events:
                 raise RuntimeError(
                     f"exceeded {max_events} events; runaway protocol?")
             if reason == "max_time":
                 status = "max_time"
+            elif reason == "halted" and self.queue:
+                # The last finish() halted the drain with events pending
+                # (a budget halt becomes "budget_exhausted" below).
+                status = "stopped"
         else:
             events = 0
             while self.queue:

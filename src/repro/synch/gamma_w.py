@@ -39,7 +39,7 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from ..sim.network import Network
+from ..sim.network import Network, all_finished
 from ..sim.process import Process
 from ..sim.sync_runner import SynchronousProtocol, SynchronousRunner
 from .gamma import GammaNode
@@ -305,7 +305,7 @@ def run_gamma_w(
         comm_budget=budget,
         recorder=recorder,
     )
-    net_result = net.run(stop_when=lambda nw: nw.all_finished)
+    net_result = net.run(stop_when=all_finished)
     if not net.all_finished:
         if budget is not None:
             return GammaWResult(net_result, cfg, max_pulse, completed=False)

@@ -29,7 +29,7 @@ from ..faults.plan import FaultPlan
 from ..faults.transport import reliable_factory
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from ..sim.network import Network
+from ..sim.network import Network, all_finished
 from ..sim.sync_runner import SynchronousProtocol
 from ..protocols.convergecast import rooted_tree_structure
 from .host_base import SynchronizerHostBase
@@ -187,7 +187,7 @@ def _run_host(graph, factory, max_pulse, delay, seed, control_tag,
     if reliable:
         factory = reliable_factory(factory, **(transport or {}))
     net = Network(normalized, factory, delay=delay, seed=seed, faults=faults)
-    result = net.run(stop_when=lambda n: n.all_finished)
+    result = net.run(stop_when=all_finished)
     if not net.all_finished:
         if faults is not None:
             # Under an adversary a stall is a legitimate, detectable
