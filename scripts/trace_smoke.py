@@ -9,7 +9,9 @@ loss), then checks the whole observability contract end to end:
   top-level shape (``traceEvents`` non-empty, metadata present);
 * per-span costs sum *exactly* to the run's measured ``comm_cost``;
 * the chaos outcome carries a picklable :class:`~repro.obs.TraceSummary`
-  that agrees with the recorder it came from.
+  that agrees with the recorder it came from;
+* the same cell under an aggregates-only recorder (``limit=0``) reports
+  the same aggregates and retains no records.
 
 Artifacts (``trace.jsonl``, ``trace.chrome.json``, ``summary.json``) are
 written to ``--out-dir`` (default ``trace-artifacts``) for CI upload.
@@ -50,15 +52,19 @@ def main(argv: list[str] | None = None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     graph = random_connected_graph(n=16, extra_edges=24, seed=7)
+
+    def smoke_cell(recorder: TraceRecorder):
+        return run_chaos(
+            graph,
+            lambda v: FloodProcess(v == graph.vertices[0], "smoke"),
+            plan=FaultPlan.message_loss(0.05, seed=42),
+            reliable=True,
+            watchdog_time=1e6,
+            recorder=recorder,
+        )
+
     recorder = TraceRecorder()
-    outcome = run_chaos(
-        graph,
-        lambda v: FloodProcess(v == graph.vertices[0], "smoke"),
-        plan=FaultPlan.message_loss(0.05, seed=42),
-        reliable=True,
-        watchdog_time=1e6,
-        recorder=recorder,
-    )
+    outcome = smoke_cell(recorder)
     if outcome.status != "ok":
         fail(f"chaos cell did not complete: {outcome.status} ({outcome.error})")
     result = outcome.result
@@ -117,7 +123,19 @@ def main(argv: list[str] | None = None) -> int:
     summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"summary written: {summary_path}")
 
-    # 5. Race-detect smoke: one clean chaos cell under the shared-state
+    # 5. Aggregates-only recording (what sweeps and the fuzzer use) keeps
+    #    every aggregate of the full log and no record.
+    agg = smoke_cell(TraceRecorder(limit=0)).trace
+    for key in ("counts", "cost_by_span", "count_by_span", "time_by_span",
+                "comm_cost", "emitted"):
+        if getattr(agg, key) != getattr(summary, key):
+            fail(f"limit=0 summary {key} differs from the full recorder's")
+    if agg.recorded != 0 or agg.dropped != agg.emitted:
+        fail(f"limit=0 recorder retained {agg.recorded} records")
+    print(f"aggregates-only recording exact: {agg.emitted} events, "
+          f"none retained")
+
+    # 6. Race-detect smoke: one clean chaos cell under the shared-state
     #    detector must still succeed, and a planted post-send payload
     #    mutation must be caught as a detectable failure.
     clean = run_chaos(

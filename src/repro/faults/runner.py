@@ -11,7 +11,8 @@ classifies the outcome:
 * ``"wrong"``     — completed but the answer differs from ``expect``;
 * ``"stalled"``   — the event queue drained with unfinished nodes (e.g. a
   message was dropped and nobody retransmits);
-* ``"timeout"``   — the watchdog deadline fired with events still pending;
+* ``"timeout"``   — the watchdog deadline fired with events still pending,
+  or the event-count backstop did;
 * ``"aborted"``   — the communication budget was exhausted;
 * ``"error"``     — a process raised (e.g. a raw protocol indexing into a
   corrupted frame).
@@ -30,7 +31,7 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from ..sim.network import Network, RunResult
+from ..sim.network import MaxEventsExceeded, Network, RunResult
 from ..sim.process import Process
 from .plan import FaultPlan
 from .transport import reliability_overhead, reliable_factory
@@ -157,7 +158,11 @@ def run_chaos(
     mismatch is classified ``"wrong"`` (the outcome the chaos contract
     exists to rule out).  ``watchdog_time`` bounds simulated time; the
     ``max_events`` backstop catches event storms and reports them as
-    ``"timeout"`` rather than raising.
+    ``"timeout"`` rather than raising.  Only that backstop
+    (:class:`~repro.sim.network.MaxEventsExceeded`) is a timeout: any
+    other exception a process raises, ``RuntimeError`` subclasses such as
+    ``NotImplementedError`` and ``RecursionError`` included, is
+    ``"error"`` with the text ``"Type: message"``.
 
     ``recorder`` (or an ambient :func:`repro.obs.runtime.tracing`
     session) attaches structured tracing; the run's
@@ -166,7 +171,7 @@ def run_chaos(
 
     ``race_detect`` passes through to :class:`~repro.sim.network.Network`;
     a :class:`~repro.analysis.race.SharedStateViolation` raised mid-run is
-    classified ``"error"`` (a detectable failure), not ``"timeout"``.
+    an ``"error"`` too, and its signature joins ``violations``.
     """
     from ..analysis.race import SharedStateViolation
 
@@ -180,23 +185,17 @@ def run_chaos(
         # count toward the measured reliability overhead, and a stall is
         # distinguishable from success by the unfinished nodes.
         result = net.run(max_time=watchdog_time, max_events=max_events)
-    except SharedStateViolation as exc:  # race detector: before the
-        # RuntimeError backstop below, which would misread it as a hang
-        return ChaosOutcome(status="error", result=None,
-                            error=f"{type(exc).__name__}: {exc}",
-                            trace=_trace_summary(net, "error"),
-                            **_observed(net, extra_violation=exc),
-                            **reliability_overhead(net.metrics))
-    except RuntimeError as exc:  # max_events backstop: a detected hang
+    except MaxEventsExceeded as exc:  # the event backstop: a detected hang
         return ChaosOutcome(status="timeout", result=None, error=str(exc),
                             trace=_trace_summary(net, "timeout"),
                             **_observed(net),
                             **reliability_overhead(net.metrics))
-    except Exception as exc:  # a process crashed on adversarial input
+    except Exception as exc:  # a process raised, e.g. on adversarial input
+        violation = exc if isinstance(exc, SharedStateViolation) else None
         return ChaosOutcome(status="error", result=None,
                             error=f"{type(exc).__name__}: {exc}",
                             trace=_trace_summary(net, "error"),
-                            **_observed(net),
+                            **_observed(net, extra_violation=violation),
                             **reliability_overhead(net.metrics))
 
     overhead = reliability_overhead(result.metrics)

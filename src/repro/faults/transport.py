@@ -138,6 +138,8 @@ class ReliableProcess(Process):
         self.max_backoff_doublings = max_backoff_doublings
         self.ack_size = ack_size
         self.gave_up = False
+        # Whether acks and retries open trace spans; set in on_start.
+        self._recorded = False
         # (to, seq) -> [frame, size, tag, retries, timeout]
         self._outstanding: dict[tuple[Vertex, int], list] = {}
         self._next_seq: dict[Vertex, int] = {}
@@ -155,6 +157,10 @@ class ReliableProcess(Process):
     # ------------------------------------------------------------------ #
 
     def on_start(self) -> None:
+        # Spans are opened only when a recorder observes this node, which
+        # is fixed for the run; a context without the flag keeps opening
+        # them (its span() decides).
+        self._recorded = getattr(self.ctx, "recorded", True)
         self.inner.ctx = _ReliableContext(self)
         self.inner.on_start()
 
@@ -191,7 +197,10 @@ class ReliableProcess(Process):
         entry[3] = retries + 1
         if retries < self.max_backoff_doublings:
             entry[4] = timeout * 2.0
-        with self.trace_span(RETRY_TAG):
+        if self._recorded:
+            with self.trace_span(RETRY_TAG):
+                self.send(to, frame, size=size, tag=RETRY_TAG)
+        else:
             self.send(to, frame, size=size, tag=RETRY_TAG)
         self.set_timer(entry[4], lambda: self._check_ack(to, seq))
 
@@ -211,7 +220,10 @@ class ReliableProcess(Process):
                 f"unframed message through ReliableProcess: {payload!r}"
             )
         _, seq, inner_payload = payload
-        with self.trace_span(ACK_TAG):
+        if self._recorded:
+            with self.trace_span(ACK_TAG):
+                self.send(frm, (_ACK, seq), size=self.ack_size, tag=ACK_TAG)
+        else:
             self.send(frm, (_ACK, seq), size=self.ack_size, tag=ACK_TAG)
         expected = self._deliver_next.get(frm, 0)
         if seq < expected:

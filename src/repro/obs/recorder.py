@@ -34,7 +34,9 @@ richer decomposition than the flat ``Metrics.cost_by_tag``.
 recent ``n`` records (``limit=0`` retains none — pure aggregation); the
 ``dropped`` counter and ``truncated`` flag say what was evicted.  The
 incremental aggregates (``cost_by_span``, ``counts``, ``total_cost``)
-cover *all* events regardless of eviction.
+cover *all* events regardless of eviction.  A ``limit=0`` recorder
+builds no :class:`TraceEvent` at all: each record only advances the
+sequence number, ``counts`` and ``dropped``.
 
 **Disabled-path cost.**  :class:`NullRecorder` is API-compatible and
 inert; :class:`~repro.sim.network.Network` normalizes any recorder with
@@ -270,7 +272,7 @@ class TraceRecorder:
                 parent = _ROOT
         path = name if parent == _ROOT else f"{parent}/{name}"
         stack.append(_Span(name, path, node, t, detail))
-        self._record("span_open", t, node=node, span=path, detail=detail)
+        self._record("span_open", t, node, span=path, detail=detail)
         return path
 
     def close_span(self, node: Any = None, t: float | None = None) -> None:
@@ -284,7 +286,7 @@ class TraceRecorder:
         self.time_by_span[span.path] = (
             self.time_by_span.get(span.path, 0.0) + (t - span.t_open)
         )
-        self._record("span_close", t, node=node, span=span.path,
+        self._record("span_close", t, node, span=span.path,
                      detail=span.detail)
 
     def span_of(self, node: Any) -> str:
@@ -300,22 +302,26 @@ class TraceRecorder:
     # Recording (called from the simulator's hot paths)
     # ------------------------------------------------------------------ #
 
-    def _append(self, ev: TraceEvent) -> None:
-        limit = self.limit
-        if limit is None:
-            self._events.append(ev)
-        elif limit == 0:
-            self.dropped += 1
-        else:
-            if len(self._events) == limit:
-                self.dropped += 1
-            self._events.append(ev)  # deque(maxlen) evicts the oldest
-
-    def _record(self, kind: str, t: float, **fields) -> int:
+    def _record(self, kind: str, t: float, node: Any = None,
+                peer: Any = None, tag: str | None = None,
+                cost: float | None = None, size: float | None = None,
+                span: str | None = None, ref: int | None = None,
+                detail: Any = None) -> int:
         seq = self._seq
         self._seq = seq + 1
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self._append(TraceEvent(seq, t, kind, **fields))
+        counts = self.counts
+        counts[kind] = counts.get(kind, 0) + 1
+        limit = self.limit
+        if limit == 0:
+            # Aggregates only: the record would be evicted at once, so
+            # it is never built.
+            self.dropped += 1
+            return seq
+        events = self._events
+        if limit is not None and len(events) == limit:
+            self.dropped += 1  # deque(maxlen) evicts the oldest below
+        events.append(TraceEvent(seq, t, kind, node, peer, tag, cost, size,
+                                 span, ref, detail))
         return seq
 
     def record_send(self, t: float, frm: Any, to: Any, tag: str,
@@ -325,27 +331,25 @@ class TraceRecorder:
         self.total_cost += cost
         self.cost_by_span[span] = self.cost_by_span.get(span, 0.0) + cost
         self.count_by_span[span] = self.count_by_span.get(span, 0) + 1
-        return self._record("send", t, node=frm, peer=to, tag=tag,
-                            cost=cost, size=size, span=span)
+        return self._record("send", t, frm, to, tag, cost, size, span)
 
     def record_deliver(self, t: float, frm: Any, to: Any,
                        ref: int | None = None) -> int:
-        return self._record("deliver", t, node=to, peer=frm, ref=ref)
+        return self._record("deliver", t, to, frm, ref=ref)
 
     def record_drop(self, t: float, frm: Any, to: Any, fate: str,
                     ref: int | None = None) -> int:
-        return self._record("drop", t, node=to, peer=frm, ref=ref,
-                            detail=fate)
+        return self._record("drop", t, to, frm, ref=ref, detail=fate)
 
     def record_timer(self, t: float, node: Any, deferred: bool = False) -> int:
-        return self._record("timer", t, node=node,
+        return self._record("timer", t, node,
                             detail="deferred" if deferred else None)
 
     def record_crash(self, t: float, node: Any) -> int:
-        return self._record("crash", t, node=node)
+        return self._record("crash", t, node)
 
     def record_recover(self, t: float, node: Any) -> int:
-        return self._record("recover", t, node=node)
+        return self._record("recover", t, node)
 
     def record_pulse(self, t: float, node: Any, pulse: int) -> int:
         """Record a synchronizer pulse and roll the node's ``pulse`` span.
@@ -359,19 +363,19 @@ class TraceRecorder:
         stack = self._stacks.setdefault(node, [])
         if stack and stack[-1].name == "pulse":
             self.close_span(node=node, t=t)
-        seq = self._record("pulse", t, node=node, detail=pulse)
+        seq = self._record("pulse", t, node, detail=pulse)
         self.open_span("pulse", node=node, detail=pulse, t=t)
         return seq
 
     def record_finish(self, t: float, node: Any) -> int:
-        return self._record("finish", t, node=node)
+        return self._record("finish", t, node)
 
     def record_violation(self, t: float, node: Any, kind: str,
                          message: str) -> int:
         """Record a shared-state race detected by ``repro.analysis.race``
         (``detail`` carries ``(kind, message)``; emitted only in the
         detector's non-raising ``"record"`` mode)."""
-        return self._record("violation", t, node=node,
+        return self._record("violation", t, node,
                             detail=f"{kind}: {message}")
 
 

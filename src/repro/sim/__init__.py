@@ -3,7 +3,7 @@
 from .delays import DelayModel, MaximalDelay, PerEdgeDelay, ScaledDelay, UniformDelay
 from .events import EventQueue
 from .metrics import Metrics
-from .network import Network, RunResult, all_finished
+from .network import MaxEventsExceeded, Network, RunResult, all_finished
 from .process import Process
 from .sync_runner import (
     SyncContext,
@@ -18,6 +18,7 @@ __all__ = [
     "Process",
     "Network",
     "RunResult",
+    "MaxEventsExceeded",
     "all_finished",
     "DelayModel",
     "MaximalDelay",

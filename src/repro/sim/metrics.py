@@ -18,7 +18,13 @@ __all__ = ["Metrics"]
 
 @dataclass
 class Metrics:
-    """Mutable cost/time accounting for one simulation run."""
+    """Mutable cost/time accounting for one simulation run.
+
+    The network's send path (``Network._transmit``) updates the message
+    fields in place: per accepted send, ``message_count`` and
+    ``count_by_tag[tag]`` grow by one, ``comm_cost`` and
+    ``cost_by_tag[tag]`` by ``w(e) * size``.
+    """
 
     message_count: int = 0
     comm_cost: float = 0.0
@@ -29,13 +35,6 @@ class Metrics:
     # Adversarial events injected by a FaultPlan (drops, duplicates,
     # corruptions, reorders, crashes, deliveries lost to a down node).
     fault_counts: dict = field(default_factory=lambda: defaultdict(int))
-
-    def record_message(self, weight: float, size: float, tag: str) -> None:
-        cost = weight * size
-        self.message_count += 1
-        self.comm_cost += cost
-        self.cost_by_tag[tag] += cost
-        self.count_by_tag[tag] += 1
 
     def record_fault(self, kind: str) -> None:
         self.fault_counts[kind] += 1

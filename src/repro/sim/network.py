@@ -32,7 +32,7 @@ from .events import EventQueue
 from .metrics import Metrics
 from .process import Process
 
-__all__ = ["Network", "RunResult", "all_finished"]
+__all__ = ["MaxEventsExceeded", "Network", "RunResult", "all_finished"]
 
 # Shared no-op span for untraced runs (nullcontext is reusable/reentrant).
 _NULL_SPAN = nullcontext()
@@ -44,6 +44,14 @@ _GENERAL = 0
 _LEAN_MAXIMAL = 1
 _LEAN_UNIFORM = 2
 _LEAN_OTHER = 3
+
+
+class MaxEventsExceeded(RuntimeError):
+    """:meth:`Network.run` fired ``max_events`` events: the runaway-protocol
+    backstop.  Still a ``RuntimeError``, so existing handlers keep
+    catching it; :func:`repro.faults.run_chaos` reports exactly this
+    exception (not any ``RuntimeError`` a handler raises) as
+    ``"timeout"``."""
 
 
 def all_finished(network: Network) -> bool:
@@ -61,13 +69,18 @@ def all_finished(network: Network) -> bool:
 class _NodeContext:
     """Injected into each process; mediates all interaction with the network."""
 
-    __slots__ = ("_network", "node_id", "neighbors", "weights", "is_finished", "result")
+    __slots__ = ("_network", "node_id", "neighbors", "weights", "recorded",
+                 "is_finished", "result")
 
     def __init__(self, network: Network, node_id: Vertex) -> None:
         self._network = network
         self.node_id = node_id
         self.neighbors = network.graph.neighbors(node_id)
         self.weights = network.graph.neighbor_weights(node_id)
+        #: Whether a recorder observes this node's run; fixed at Network
+        #: construction, like the send path.  Layers that open spans per
+        #: frame (the reliable transport) read it once instead.
+        self.recorded = network._rec is not None
         self.is_finished = False
         self.result: Any = None
 
@@ -304,8 +317,8 @@ class Network:
         path = self._send_path
         if path:
             # Lean branch of a hook-free run: the general branch below
-            # with Metrics.record_message, the budget check and the common
-            # delay models inlined, in the same order and arithmetic.
+            # without its hooks, and with the common delay models inlined
+            # in the same arithmetic.
             metrics = self.metrics
             cost = weight * size
             budget = self.comm_budget
@@ -344,66 +357,74 @@ class Network:
             return
         if frm in self._down:
             return  # a crashed node cannot transmit
-        if self.comm_budget is not None and (
-            self.metrics.comm_cost + weight * size > self.comm_budget
-        ):
+        metrics = self.metrics
+        cost = weight * size
+        budget = self.comm_budget
+        if budget is not None and metrics.comm_cost + cost > budget:
             self.budget_exhausted = True
             # Also halt the event queue's fast drain loop (run() probes
             # this flag after every event when a budget is configured).
             self.queue.halted = True
             return
         tag = tag or self.default_tag
-        self.metrics.record_message(weight, size, tag)
-        now = self.queue.now
+        metrics.message_count += 1
+        metrics.comm_cost += cost
+        metrics.cost_by_tag[tag] += cost
+        metrics.count_by_tag[tag] += 1
+        queue = self.queue
+        now = queue.now
         rec = self._rec
         if self.trace is not None:
-            self.trace(now, frm, to, tag, weight * size)
+            self.trace(now, frm, to, tag, cost)
         if rec is not None:
-            msg_id = rec.record_send(now, frm, to, tag, weight * size, size)
+            msg_id = rec.record_send(now, frm, to, tag, cost, size)
         delay = self.delay_model.delay(frm, to, weight, self.rng)
         channel = (frm, to)
+        clear = self._channel_clear
+        prev = clear.get(channel, 0.0)
         if self.serialize:
-            start = max(now, self._channel_clear.get(channel, 0.0))
-            arrive = start + delay
+            arrive = (prev if prev > now else now) + delay
         else:
             # FIFO per directed channel even with pipelining: a message may
             # not overtake an earlier one on the same channel.
-            arrive = max(now + delay, self._channel_clear.get(channel, 0.0))
+            arrive = now + delay
+            if prev > arrive:
+                arrive = prev
         # The channel timing of a transmission is independent of its fate:
         # a dropped message still occupied the channel (it was transmitted,
         # then lost) and still cost w(e) * size above — the sender pays per
         # transmission, which is what makes retransmission overhead a
         # meaningful cost-sensitive quantity.
-        self._channel_clear[channel] = arrive
+        clear[channel] = arrive
         race = self._race
         if self.faults is None:
             # schedule_call_at stores (fn, args) in the event's slots: no
             # capturing closure is allocated per message, and same-time
             # deliveries batch into one heap entry (see sim.events).
             if rec is None:
-                self.queue.schedule_call_at(arrive, self._deliver,
-                                            frm, to, payload)
+                queue.schedule_call_at(arrive, self._deliver,
+                                       frm, to, payload)
             else:
-                self.queue.schedule_call_at(arrive, self._deliver_traced,
-                                            frm, to, payload, msg_id)
+                queue.schedule_call_at(arrive, self._deliver_traced,
+                                       frm, to, payload, msg_id)
             if race is not None:
                 race.note_scheduled(payload)
             return
         fate, deliveries = self.faults.fate(frm, to, weight, payload,
                                             self.fault_rng)
         if fate != "deliver":
-            self.metrics.record_fault(fate)
+            metrics.record_fault(fate)
             if rec is not None:
                 rec.record_drop(now, frm, to, fate, ref=msg_id)
         for extra, out_payload in deliveries:
             # Extra adversarial delay (duplicates, reorders) bypasses the
             # FIFO clamp on purpose: later messages may overtake.
             if rec is None:
-                self.queue.schedule_call_at(
+                queue.schedule_call_at(
                     arrive + extra, self._deliver, frm, to, out_payload
                 )
             else:
-                self.queue.schedule_call_at(
+                queue.schedule_call_at(
                     arrive + extra, self._deliver_traced,
                     frm, to, out_payload, msg_id
                 )
@@ -510,7 +531,8 @@ class Network:
         true, the next event lies beyond ``max_time`` (events exactly *at*
         the deadline still run; none past it does), or ``max_events``
         events have fired (a runaway-protocol backstop that raises
-        ``RuntimeError``).  The reason is reported as ``RunResult.status``.
+        :class:`MaxEventsExceeded`, a ``RuntimeError``).  The reason is
+        reported as ``RunResult.status``.
 
         With no ``stop_when``, or with ``stop_when=all_finished``, the
         queue drains itself in its fast loop (the last ``finish()`` halts
@@ -553,7 +575,7 @@ class Network:
                 check_halt=halting or self.comm_budget is not None,
             )
             if reason == "max_events" or fired >= max_events:
-                raise RuntimeError(
+                raise MaxEventsExceeded(
                     f"exceeded {max_events} events; runaway protocol?")
             if reason == "max_time":
                 status = "max_time"
@@ -576,7 +598,7 @@ class Network:
                     break
                 events += 1
                 if events >= max_events:
-                    raise RuntimeError(
+                    raise MaxEventsExceeded(
                         f"exceeded {max_events} events; runaway protocol?")
             fired = events
         if self.budget_exhausted:

@@ -16,7 +16,7 @@ from repro.faults import (
 from repro.graphs import WeightedGraph, path_graph, random_connected_graph
 from repro.protocols.broadcast import FloodProcess, run_flood
 from repro.protocols.mst_ghs import run_mst_ghs
-from repro.sim import Network, Process
+from repro.sim import MaxEventsExceeded, Network, Process
 
 
 # --------------------------------------------------------------------- #
@@ -434,3 +434,52 @@ def test_run_chaos_error_is_detectable():
     out = run_chaos(g, lambda v: Fragile(), plan=plan, reliable=False)
     assert out.status == "error"
     assert out.detectable_failure
+
+
+class _Failing(Process):
+    """Sends to every neighbour at start; its handler then fails by
+    ``how`` (``"storm"`` echoes every message back forever)."""
+
+    def __init__(self, how):
+        self.how = how
+
+    def on_start(self):
+        for v in self.neighbors():
+            self.send(v, 0)
+
+    def on_message(self, frm, payload):
+        if self.how == "not_implemented":
+            raise NotImplementedError("no handler for this payload")
+        if self.how == "recursion":
+            self.on_message(frm, payload)
+        if self.how == "value":
+            raise ValueError("bad payload")
+        self.send(frm, payload)
+
+
+@pytest.mark.parametrize("how, status, error", [
+    # RuntimeError subclasses a handler raises are errors, not hangs.
+    ("not_implemented", "error",
+     "NotImplementedError: no handler for this payload"),
+    ("recursion", "error", "RecursionError: maximum recursion depth"),
+    ("value", "error", "ValueError: bad payload"),
+    ("storm", "timeout", "exceeded 500 events"),
+])
+def test_run_chaos_times_out_only_on_the_event_backstop(how, status, error):
+    g = random_connected_graph(8, 6, seed=1)
+    out = run_chaos(g, lambda v: _Failing(how), reliable=False,
+                    max_events=500)
+    assert out.status == status
+    assert out.error.startswith(error)
+    assert out.detectable_failure
+
+
+@pytest.mark.parametrize("stop_when", [None, lambda net: False],
+                         ids=["drain", "step"])
+def test_max_events_raises_the_backstop_exception(stop_when):
+    assert issubclass(MaxEventsExceeded, RuntimeError)
+    net = Network(random_connected_graph(8, 6, seed=1),
+                  lambda v: _Failing("storm"))
+    with pytest.raises(MaxEventsExceeded, match="exceeded 500 events"):
+        net.run(max_events=500, stop_when=stop_when)
+    assert net.queue.fired == 500

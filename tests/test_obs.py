@@ -5,6 +5,8 @@ import pickle
 
 import pytest
 
+import repro.obs.recorder as recorder_module
+from repro.experiments.chaos import make_cases
 from repro.experiments.parallel import chaos_rows, shutdown_pool
 from repro.faults import (
     ACK_TAG,
@@ -214,6 +216,46 @@ def test_limit_zero_keeps_only_aggregates():
     assert rec.truncated
     assert rec.total_cost == result.comm_cost
     assert rec.counts["send"] == result.message_count
+
+
+_MATRIX = {case.name: case for case in make_cases()}
+
+
+def _matrix_cell(protocol, drop, reliable, limit):
+    case = _MATRIX[protocol]
+    plan = FaultPlan.message_loss(drop, seed=7) if drop else None
+    return run_chaos(case.graph, case.factory, plan=plan, reliable=reliable,
+                     watchdog_time=1e6, recorder=TraceRecorder(limit=limit))
+
+
+def _aggregates(summary):
+    return (summary.counts, summary.cost_by_span, summary.count_by_span,
+            summary.time_by_span, summary.comm_cost, summary.emitted)
+
+
+class _NoEvents:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("an aggregates-only recorder built a TraceEvent")
+
+
+@pytest.mark.parametrize("reliable", [True, False], ids=["reliable", "raw"])
+@pytest.mark.parametrize("drop", [0.0, 0.2])
+@pytest.mark.parametrize("protocol", sorted(_MATRIX))
+def test_limit_zero_is_exact_and_builds_no_events(protocol, drop, reliable,
+                                                  monkeypatch):
+    full = _matrix_cell(protocol, drop, reliable, None)
+    agg = _matrix_cell(protocol, drop, reliable, 0)
+    assert full.trace.recorded == full.trace.emitted > 0
+    assert agg.status == full.status
+    assert _aggregates(agg.trace) == _aggregates(full.trace)
+    assert agg.trace.recorded == 0
+    assert agg.trace.dropped == agg.trace.emitted
+
+    # Not one record object is allocated on the way.
+    monkeypatch.setattr(recorder_module, "TraceEvent", _NoEvents)
+    again = _matrix_cell(protocol, drop, reliable, 0)
+    assert again.error is None
+    assert again.trace == agg.trace
 
 
 def test_negative_limit_rejected():

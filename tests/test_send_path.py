@@ -4,7 +4,9 @@ A hook-free run (no faults, recorder, trace callback, race detector or
 serialized channels) sends through a lean branch of
 ``Network._transmit``; any armed hook selects the general branch.  The
 differential tests here run the same protocols both ways and require
-identical metrics, event counts, statuses and per-node results.
+identical metrics, event counts, statuses and per-node results.  Under
+faults every run takes the general branch; there a run with an
+aggregates-only recorder must match one without it in the same way.
 
 ``Network.run(stop_when=all_finished)`` halts the queue's fast drain
 loop from the last ``finish()``; any other predicate is polled before
@@ -16,6 +18,8 @@ import math
 
 import pytest
 
+from repro.experiments.chaos import make_cases
+from repro.faults import FaultPlan, reliable_factory
 from repro.graphs import WeightedGraph, path_graph, random_connected_graph
 from repro.graphs.paths import diameter
 from repro.obs import TraceRecorder
@@ -153,6 +157,42 @@ def test_lean_branch_matches_general_branch(protocol, delay, hook):
     assert lean == hooked
     assert lean == _observe(protocol, delay, budget, polled=True,
                             **HOOKS[hook]())[1]
+
+
+# --------------------------------------------------------------------- #
+# Recording is observe-only on the hooked path
+# --------------------------------------------------------------------- #
+
+MATRIX = {case.name: case for case in make_cases()}
+
+
+def _observe_faulted(protocol, delay, reliable, recorder=None):
+    case = MATRIX[protocol]
+    factory = reliable_factory(case.factory) if reliable else case.factory
+    net = Network(case.graph, factory, delay=DELAYS[delay](), seed=11,
+                  faults=FaultPlan.message_loss(0.2, seed=7),
+                  recorder=recorder)
+    result = net.run(max_time=1e6)
+    return net, {
+        "metrics": result.metrics.as_dict(),
+        "fired": net.queue.fired,
+        "status": result.status,
+        "results": [(repr(v), repr(r)) for v, r in result.results().items()],
+    }
+
+
+@pytest.mark.parametrize("reliable", [True, False], ids=["reliable", "raw"])
+@pytest.mark.parametrize("delay", ["maximal", "uniform"])
+@pytest.mark.parametrize("protocol", sorted(MATRIX))
+def test_recorder_is_observe_only_under_faults(protocol, delay, reliable):
+    _, plain = _observe_faulted(protocol, delay, reliable)
+    net, traced = _observe_faulted(protocol, delay, reliable,
+                                   TraceRecorder(limit=0))
+    assert plain["metrics"]["fault_counts"]["drop"] > 0
+    if reliable:
+        assert plain["metrics"]["count_by_tag"]["rel-ack"] > 0
+        assert net.recorder.count_by_span["rel-ack"] > 0
+    assert plain == traced
 
 
 @pytest.mark.parametrize("hooks", [
