@@ -925,8 +925,9 @@ def bench_big(jobs: int, quick: bool) -> dict:
     budget_mb = BIG_BUDGET_QUICK_MB if quick else BIG_BUDGET_MB
     if quick:
         families = {
-            # G_n is path-like: numpy's round-based relaxation needs ~n
-            # rounds there, so its sources pin the Python heap kernel.
+            # G_n is path-like: the numpy frontier relaxation takes ~n
+            # rounds there (about one per hop), several times the Python
+            # heap kernel's time, so its sources pin the heap kernel.
             "lower_bound": (lambda: lower_bound_flat(10_000), 4, "python"),
             "split": (lambda: lower_bound_split_flat(10_000, 100), 4,
                       "python"),

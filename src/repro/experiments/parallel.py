@@ -543,7 +543,10 @@ class SnapshotCell:
     aggregates for sources ``lo..hi-1``.  ``kernel`` pins the backend for
     ``"sources"`` cells (``"python"`` or ``"numpy"``); it is resolved at
     *cell-creation* time so serial and pooled executions of the same cell
-    list are structurally guaranteed to run the same kernel.
+    list are structurally guaranteed to run the same kernel.  A numpy
+    pin still runs the Python kernel on graphs of at most
+    ``_PY_SOURCES_MAX_M2`` directed edges; that rule depends only on the
+    pin and the graph, so it too is fixed per cell.
     """
 
     handle: SnapshotHandle
@@ -573,6 +576,8 @@ def snapshot_cells(
         raise ValueError(f"kind must be 'stripe' or 'sources': {kind!r}")
     if cell_size < 1:
         raise ValueError(f"cell_size must be >= 1: {cell_size}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0: {limit}")
     if kernel is None:
         from ..graphs.npkernels import kernel_backend
 
@@ -584,6 +589,13 @@ def snapshot_cells(
     ]
 
 
+#: Numpy-pinned source cells on graphs with at most this many directed
+#: edges run the Python heap kernel: there NumPy's fixed cost per call
+#: outweighs the vectorized relaxation (measured in docs/PERF.md,
+#: "Snapshot source sweeps").  Both kernels return identical rows.
+_PY_SOURCES_MAX_M2 = 512
+
+
 def run_snapshot_cell(cell: SnapshotCell) -> dict:
     """Execute one snapshot cell against the attached shared segment.
 
@@ -591,8 +603,9 @@ def run_snapshot_cell(cell: SnapshotCell) -> dict:
     the worker's attachment cache (or the segment itself on a cold
     process; or a spec rebuild when shared memory is unavailable — the
     graceful-degradation path).  Dispatches on the cell's pinned kind and
-    kernel; both kernels return the same row shape with a byte-identity
-    digest, so serial == pool comparisons are plain ``==`` on row lists.
+    kernel, and on the graph's size (``_PY_SOURCES_MAX_M2``); both
+    kernels return the same row shape with a byte-identity digest, so
+    serial == pool comparisons are plain ``==`` on row lists.
     """
     from ..graphs import shm
     from ..graphs.csr import flat_source_stats, flat_stripe_stats
@@ -601,7 +614,8 @@ def run_snapshot_cell(cell: SnapshotCell) -> dict:
     flat = shm.attach(cell.handle)
     if cell.kind == "stripe":
         return flat_stripe_stats(flat, cell.lo, cell.hi)
-    if cell.kernel == "numpy" and numpy_available():
+    if (cell.kernel == "numpy" and numpy_available()
+            and flat.m2 > _PY_SOURCES_MAX_M2):
         return np_flat_source_stats(flat, cell.lo, cell.hi)
     return flat_source_stats(flat, cell.lo, cell.hi)
 

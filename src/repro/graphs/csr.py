@@ -730,8 +730,9 @@ def flat_sssp_dist(flat: FlatGraph, source: int) -> array[float]:
     """Heap Dijkstra over the flat buffers; float64 distances, inf unreached.
 
     Value-identical to :func:`sssp_maps` distances (same left-to-right
-    IEEE sums) and bit-identical to the numpy batched relaxation
-    (``np_flat_source_stats``) under the PR 7 fixpoint argument.
+    IEEE sums) and bit-identical to the numpy frontier relaxation
+    (``np_flat_source_stats``) under the least-fixpoint argument of
+    :mod:`repro.graphs.npkernels`.
     """
     n = flat.n
     if not 0 <= source < n:

@@ -32,16 +32,19 @@ oracle — same floats bit-for-bit, same MST edge sets chosen under the
 same tie-break rule, same exception on disconnected input — pinned by
 ``tests/test_npkernels_differential.py``.  The arguments:
 
-* **Distances.**  Both Dijkstra (heap or Dial) and the batched
-  fixpoint relaxation below compute, for every vertex ``v``, the minimum
-  over all paths of the *left-to-right IEEE-754 sum* of the path's
-  weights: relaxations only ever lower a distance to ``fl(d[u] + w)``,
-  float addition of a non-negative weight is monotone, and any maximal
-  sequence of relaxations reaches the same least fixpoint.  Integral
-  weights additionally use exact ``int64`` sums whenever every possible
+* **Distances.**  Both Dijkstra (heap or Dial) and the frontier
+  relaxation below compute, for every vertex ``v``, the minimum over all
+  paths of the *left-to-right IEEE-754 sum* of the path's weights:
+  relaxations only ever lower a distance to ``fl(d[u] + w)``, float
+  addition of a non-negative weight is monotone, and any maximal
+  sequence of relaxations reaches the same least fixpoint.  The
+  frontier loop is such a sequence: it re-expands every distance that
+  dropped, with its new value, until none drops, and folds candidates
+  with ``min``, which is exact in any order.  Integral weights
+  additionally use exact ``int64`` sums whenever every possible
   distance stays below 2**53, where int and float arithmetic agree
   exactly (the same regime the Dial bucket queue relies on).
-* **Dense all-pairs.**  In the exact-integer regime the batched scan
+* **Dense all-pairs.**  In the exact-integer regime the all-sources scan
   upgrades to an in-place ``int32`` Floyd–Warshall over the full n x n
   matrix when the graph is dense enough (:func:`_fw_applicable`).
   Min-plus closure over *exact integer* arithmetic yields the true
@@ -201,11 +204,11 @@ class NPGraph:
     """NumPy mirror of a :class:`~repro.graphs.csr.CSRGraph` snapshot.
 
     Holds the CSR arrays as ``ndarray``s plus the derived structures the
-    vectorized kernels need: per-position source vertex (``edge_u``),
-    the reverse-edge permutation (``rev``, lazily built), and the exact
-    ``int64`` weight view for the integral-weight fast path.  Keeps a
-    reference to the originating ``CSRGraph`` so tree-building kernels
-    can insert the *original* weight objects (bit-identical sums).
+    vectorized kernels need: vertex degrees (``deg``), per-position
+    source vertex (``edge_u``), and the exact ``int64`` weight view for
+    the integral-weight fast path.  Keeps a reference to the originating
+    ``CSRGraph`` so tree-building kernels can insert the *original*
+    weight objects (bit-identical sums).
 
     Snapshots are immutable and version-stamped like the CSR they mirror;
     :meth:`repro.graphs.cache.GraphParamCache.npg` memoizes one per graph
@@ -213,9 +216,8 @@ class NPGraph:
     """
 
     __slots__ = (
-        "csr", "n", "m2", "indptr", "indices", "indices_pad", "weights",
-        "iweights", "edge_u", "deg", "use_int", "int_bound",
-        "edge_weight_f", "version", "_rev",
+        "csr", "n", "m2", "indptr", "indices", "weights", "iweights",
+        "edge_u", "deg", "use_int", "int_bound", "edge_weight_f", "version",
     )
 
     def __init__(self, csr: CSRGraph) -> None:
@@ -227,11 +229,6 @@ class NPGraph:
         self.indices = np.asarray(csr.indices, dtype=np.int64)
         self.weights = np.asarray(csr.weights, dtype=np.float64)
         self.m2 = int(self.indices.shape[0])
-        # One dummy trailing position: `indptr` starts may equal 2m for
-        # trailing degree-0 vertices, and reduceat needs every segment
-        # start to index into the candidate row — the relaxation kernels
-        # pad their per-edge value arrays with a sentinel to match.
-        self.indices_pad = np.append(self.indices, 0)
         self.deg = np.diff(self.indptr)
         self.edge_u = np.repeat(np.arange(n, dtype=np.int64), self.deg)
         bound = max(1, (n - 1) * csr.wmax + 1) if n else 1
@@ -242,28 +239,6 @@ class NPGraph:
         )
         self.edge_weight_f = np.asarray(csr.edge_weight, dtype=np.float64)
         self.version = csr.version
-        self._rev: Any = None
-
-    @property
-    def rev(self) -> Any:
-        """Permutation mapping each directed CSR position to its reverse.
-
-        ``rev[j]`` is the CSR position of edge ``(v, u)`` when position
-        ``j`` holds ``(u, v)``.  Built on first use (only the asymmetric
-        delay-propagation kernel needs it): the directed key ``u*n + v``
-        is unique per position, and sorting both orientations aligns each
-        edge with its reverse.
-        """
-        if self._rev is None:
-            np = _require_numpy()
-            key_fwd = self.edge_u * self.n + self.indices
-            key_bwd = self.indices * self.n + self.edge_u
-            fwd_order = np.argsort(key_fwd, kind="stable")
-            bwd_order = np.argsort(key_bwd, kind="stable")
-            rev = np.empty(self.m2, dtype=np.int64)
-            rev[bwd_order] = fwd_order
-            self._rev = rev
-        return self._rev
 
     def __repr__(self) -> str:
         return (
@@ -286,18 +261,18 @@ def np_graph_of(graph: WeightedGraph) -> NPGraph:
 class NPFlat:
     """NumPy view of a :class:`~repro.graphs.csr.FlatGraph` snapshot.
 
-    Mirrors exactly the :class:`NPGraph` attributes the batched
-    relaxation kernel reads, built **zero-copy**: ``np.frombuffer`` over
-    the flat buffers, which may live in a shared-memory segment — the
-    whole point of the big tier is that this constructor touches no graph
-    bytes.  Only the derived sentinel pad and degree arrays allocate
-    (O(m) int64, built once per process per snapshot via
-    :func:`np_flat_of`'s memo on ``FlatGraph.np_cache``).
+    Mirrors exactly the :class:`NPGraph` attributes the frontier
+    relaxation reads, built **zero-copy**: ``np.frombuffer`` over the
+    flat buffers, which may live in a shared-memory segment — the whole
+    point of the big tier is that this constructor touches no graph
+    bytes.  Only the derived degree array (O(n) int64) and, for integral
+    weights, the ``int64`` weight view (O(m)) allocate, once per process
+    per snapshot via :func:`np_flat_of`'s memo on ``FlatGraph.np_cache``.
     """
 
     __slots__ = (
-        "n", "m2", "indptr", "indices", "indices_pad", "weights",
-        "iweights", "deg", "use_int", "int_bound",
+        "n", "m2", "indptr", "indices", "weights", "iweights", "deg",
+        "use_int", "int_bound",
     )
 
     def __init__(self, flat: FlatGraph) -> None:
@@ -307,7 +282,6 @@ class NPFlat:
         self.indices = np.frombuffer(flat.indices, dtype=np.int64)
         self.weights = np.frombuffer(flat.weights, dtype=np.float64)
         self.m2 = int(self.indices.shape[0])
-        self.indices_pad = np.append(self.indices, 0)
         self.deg = np.diff(self.indptr)
         # Same exact-integer gate as NPGraph, in exact int arithmetic
         # (float wmax is integer-valued whenever `integral` is set).
@@ -334,7 +308,7 @@ def np_flat_of(flat: FlatGraph) -> NPFlat:
 def np_flat_source_stats(flat: FlatGraph, lo: int, hi: int) -> dict[str, Any]:
     """Batched per-source sweep stats; byte-identical to the Python kernel.
 
-    Runs the blocked fixpoint relaxation (:func:`_dist_rows`) over the
+    Runs the blocked frontier relaxation (:func:`_dist_rows`) over the
     source range and folds each row into the same three aggregates as
     :func:`repro.graphs.csr.flat_source_stats` — including the sha256
     digest over the float64 distance bytes, which match the heap
@@ -383,25 +357,61 @@ def np_flat_source_stats(flat: FlatGraph, lo: int, hi: int) -> dict[str, Any]:
 
 
 # --------------------------------------------------------------------- #
-# Batched shortest-path relaxation
+# Frontier shortest-path relaxation
 # --------------------------------------------------------------------- #
 
-# Cap on the (rows x columns) scratch the batched scan holds at once;
+# Cap on the (rows x columns) scratch a multi-source scan holds at once;
 # sources are processed in row blocks sized to stay under it.
 _SCAN_BLOCK_ELEMS = 1 << 22
+
+
+def _relax(npg: NPGraph | NPFlat, dist: Any, frontier: Any,
+           weights: Any) -> None:
+    """Push-relax ``dist`` in place from ``frontier`` until nothing drops.
+
+    ``dist`` is a flat array of ``rows * n`` entries, entry ``r*n + v``
+    holding row ``r``'s distance to ``v``; ``frontier`` holds the flat
+    indices to expand first (finite entries only).  Each round expands
+    the CSR out-edges of the frontier entries, keeps the candidates
+    ``dist[u] + weights[j]`` that beat their target, and folds them in
+    with ``np.minimum.at``; the next frontier is every entry that
+    dropped.  Only finite distances are ever expanded, so no arithmetic
+    touches the sentinel, and a round's temporaries are at most
+    ``rows * m2`` elements.
+    """
+    np = _require_numpy()
+    n = npg.n
+    indptr, indices, deg = npg.indptr, npg.indices, npg.deg
+    several = dist.size > n
+    mark = np.zeros(dist.size, dtype=bool)
+    # `take` rather than fancy indexing: the gathers are most of the
+    # work, and `take` runs them about a third faster.
+    while frontier.size:
+        u = frontier % n if several else frontier
+        cnt = deg.take(u)
+        ends = np.cumsum(cnt)
+        # The out-edge CSR positions of every frontier entry, back to back.
+        pos = np.repeat(indptr.take(u) - ends + cnt, cnt)
+        pos += np.arange(pos.size)
+        tgt = indices.take(pos)
+        if several:
+            tgt += np.repeat(frontier - u, cnt)
+        cand = weights.take(pos)
+        cand += np.repeat(dist.take(frontier), cnt)
+        keep = np.flatnonzero(cand < dist.take(tgt))
+        tgt = tgt.take(keep)
+        np.minimum.at(dist, tgt, cand.take(keep))
+        # A reused mark, not np.unique: dedupes the drops without a sort.
+        mark[tgt] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
 
 
 def _dist_rows(npg: NPGraph | NPFlat, lo: int, hi: int) -> Any:
     """Shortest-path distances from sources ``lo..hi-1`` as a 2-D array.
 
-    Frontier-at-a-time array relaxation: each round gathers every
-    vertex's in-neighbor distances (one fancy-index + segment-min over
-    the CSR layout — rows of the symmetric CSR *are* the in-edge lists),
-    adds the per-edge weights, and folds the result into the distance
-    matrix with an elementwise min.  Rows are independent single-source
-    problems, so rows that reach their fixpoint drop out of later rounds
-    (the array analog of Dial's bucket queue draining in distance order).
-
+    Rows are independent single-source problems relaxed together by
+    :func:`_relax`, starting from a frontier of the ``hi - lo`` sources.
     Integral weights run in exact ``int64`` with ``npg.int_bound`` as the
     infinity sentinel; fractional (or 2**53-exceeding) weights run in
     ``float64`` with ``inf``.  Either way the fixpoint equals the oracle
@@ -412,44 +422,21 @@ def _dist_rows(npg: NPGraph | NPFlat, lo: int, hi: int) -> Any:
     size = hi - lo
     if npg.use_int:
         weights = npg.iweights
-        sentinel: Any = npg.int_bound
-        dist = np.full((size, n), sentinel, dtype=np.int64)
+        dist = np.full(size * n, npg.int_bound, dtype=np.int64)
     else:
         weights = npg.weights
-        sentinel = np.inf
-        dist = np.full((size, n), sentinel, dtype=np.float64)
-    dist[np.arange(size), np.arange(lo, hi)] = 0
-    if npg.m2 == 0:
-        return dist
-    # Candidate rows carry one sentinel pad column so every reduceat
-    # segment start (including the 2m of trailing degree-0 vertices) is
-    # a valid index without clamping — clamping would silently truncate
-    # the preceding vertex's segment.  Degree-0 columns (whose "segment"
-    # is empty and reads an arbitrary neighbor candidate) are masked
-    # back to the sentinel afterwards.
-    indices = npg.indices_pad
-    weights_pad = np.append(weights, sentinel)
-    starts = npg.indptr[:-1]
-    deg0 = npg.deg == 0
-    any_deg0 = bool(deg0.any())
-    active = np.arange(size)
-    while active.size:
-        rows = dist[active]
-        cand = rows[:, indices] + weights_pad
-        relaxed = np.minimum.reduceat(cand, starts, axis=1)
-        if any_deg0:
-            relaxed[:, deg0] = sentinel
-        new_rows = np.minimum(rows, relaxed)
-        changed = (new_rows != rows).any(axis=1)
-        dist[active] = new_rows
-        active = active[changed]
-    return dist
+        dist = np.full(size * n, np.inf, dtype=np.float64)
+    # Row r starts from source lo + r, at flat index r * n + lo + r.
+    sources = np.arange(size) * (n + 1) + lo
+    dist[sources] = 0
+    _relax(npg, dist, sources, weights)
+    return dist.reshape(size, n)
 
 
 # Dense-regime Floyd-Warshall dispatch.  The n x n int32 matrix stays
 # cache-resident up to _FW_MAX_N (~1.1ns per element on one core), so an
 # n-pass min-plus closure beats both the per-source Dial scan and the
-# batched relaxation whenever the graph carries enough edges per vertex
+# frontier relaxation whenever the graph carries enough edges per vertex
 # (or is small enough that n^3 is cheap regardless).  The sentinel is
 # chosen so SENTINEL + SENTINEL still fits in int32 — no overflow wraps
 # a "still infinite" candidate below a real distance.
@@ -466,7 +453,7 @@ def _fw_applicable(npg: NPGraph) -> bool:
     sentinel sum) representable in int32, and a shape where n^3 wins:
     small graphs unconditionally, larger ones only when the edge count
     clears ``n^2 / _FW_DENSE_FACTOR`` (sparser graphs fall back to the
-    blocked relaxation, whose work scales with m rather than n^2).
+    frontier relaxation, whose work scales with m rather than n^2).
     """
     n = npg.n
     if not npg.use_int or n < 2 or n > _FW_MAX_N:
@@ -503,8 +490,8 @@ def np_all_sources_scan(npg: NPGraph) -> GraphScan:
     same ``GraphScan`` floats bit-for-bit, computed from 2-D distance
     blocks instead of one Python Dijkstra per source.  Dense graphs in
     the exact-integer regime run the Floyd-Warshall closure instead of
-    blocked relaxation (:func:`_fw_applicable`); either way the values
-    are identical.  Memory is bounded by processing sources in
+    the frontier relaxation (:func:`_fw_applicable`); either way the
+    values are identical.  Memory is bounded by processing sources in
     contiguous row blocks (the dense path holds one n x n int32 matrix).
     """
     np = _require_numpy()
@@ -583,49 +570,29 @@ def np_delay_propagation(
     ``None`` means the worst case ``delays = weights``, which makes this
     exactly single-source shortest paths.
 
-    Asymmetric delays are supported via the reverse-edge permutation:
-    relaxing *into* ``v`` over row ``v`` of the CSR reads the delay of
-    the *opposite* orientation, i.e. ``delays[rev[j]]``.  Updated
-    per-iteration as one fused array op per frontier round — the
-    delay-matrix idiom of SNIPPETS.md Snippet 2.
+    Asymmetric delays need no reverse lookup: :func:`_relax` pushes
+    along out-edges, so the delay at position ``j`` is exactly the one
+    of the edge it expands, ``edge_u[j] -> indices[j]``.
     """
     np = _require_numpy()
     n = npg.n
     if not 0 <= source < n:
         raise IndexError(f"source index {source} out of range 0..{n - 1}")
     if delays is None:
-        if npg.use_int:
-            return np_sssp_dist(npg, source)
-        in_delay = npg.weights
-    else:
-        delays = np.asarray(delays, dtype=np.float64)
-        if delays.shape != (npg.m2,):
-            raise ValueError(
-                f"delays must have one entry per directed CSR position "
-                f"({npg.m2}), got shape {delays.shape}"
-            )
-        if bool((delays < 0).any()):
-            raise ValueError("delays must be non-negative")
-        in_delay = delays[npg.rev]
+        return np_sssp_dist(npg, source)
+    delays = np.asarray(delays, dtype=np.float64)
+    if delays.shape != (npg.m2,):
+        raise ValueError(
+            f"delays must have one entry per directed CSR position "
+            f"({npg.m2}), got shape {delays.shape}"
+        )
+    if bool(np.isnan(delays).any()):
+        raise ValueError("delays must not be NaN")
+    if bool((delays < 0).any()):
+        raise ValueError("delays must be non-negative")
     arrival = np.full(n, np.inf, dtype=np.float64)
     arrival[source] = 0.0
-    if npg.m2 == 0:
-        return [float(x) for x in arrival.tolist()]
-    # Same sentinel pad column as _dist_rows (see there for why).
-    starts = npg.indptr[:-1]
-    deg0 = npg.deg == 0
-    any_deg0 = bool(deg0.any())
-    indices = npg.indices_pad
-    in_delay_pad = np.append(in_delay, np.inf)
-    while True:
-        cand = arrival[indices] + in_delay_pad
-        relaxed = np.minimum.reduceat(cand, starts)
-        if any_deg0:
-            relaxed[deg0] = np.inf
-        new = np.minimum(arrival, relaxed)
-        if bool((new == arrival).all()):
-            break
-        arrival = new
+    _relax(npg, arrival, np.array([source]), delays)
     return [float(x) for x in arrival.tolist()]
 
 

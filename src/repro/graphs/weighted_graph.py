@@ -88,7 +88,7 @@ class WeightedGraph:
         """
         if u == v:
             raise ValueError(f"self-loop at {u!r} is not allowed")
-        if weight <= 0:
+        if not weight > 0:  # also rejects NaN, which fails every comparison
             raise ValueError(f"edge weight must be positive, got {weight!r}")
         self._adj.setdefault(u, {})[v] = weight
         self._adj.setdefault(v, {})[u] = weight

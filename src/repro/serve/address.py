@@ -302,6 +302,9 @@ def canonical_request(request: dict) -> dict:
         raise RequestError(f"n must be >= 2, got {canon['n']}")
     if kind == "snapshot" and canon["cell_size"] < 1:
         raise RequestError(f"cell_size must be >= 1, got {canon['cell_size']}")
+    limit = canon.get("limit")
+    if limit is not None and limit < 0:
+        raise RequestError(f"limit must be >= 0, got {limit}")
     return canon
 
 

@@ -11,9 +11,9 @@ Three contracts pinned here:
    n = 10^6 without changing a single byte of any answer.
 2. **Kernel identity**: ``flat_sssp_dist`` matches the ``sssp_maps``
    oracle; ``flat_source_stats`` (heap Dijkstra) and
-   ``np_flat_source_stats`` (batched relaxation) return *equal dicts* —
-   including the sha256 digest over the float64 distance bytes, the PR 7
-   identity contract extended to the flat snapshot path.
+   ``np_flat_source_stats`` (frontier relaxation) return *equal dicts* —
+   including the sha256 digest over the float64 distance bytes, the
+   kernel identity contract extended to the flat snapshot path.
 3. **Fingerprint stability**: pinned hex literals, so an accidental
    change to buffer layout, interning order, or hashing shows up as a
    test diff rather than a silently incompatible shared-memory key.
@@ -149,16 +149,32 @@ def test_flat_sssp_dist_matches_sssp_maps_oracle():
             assert dist[idx] == expect
 
 
+def _fractional_flat(n: int, seed: int) -> FlatGraph:
+    """A random connected flat graph with non-dyadic fractional weights."""
+    rng = random.Random(seed)
+    g = random_connected_graph(n, n, seed=seed)
+    for u, v, _w in list(g.edges()):
+        g.add_edge(u, v, rng.randint(1, 999) / 100)
+    return flat_of(csr_of(g))
+
+
 def test_source_stats_python_numpy_identical():
     if not numpy_available():
         pytest.skip("numpy not installed")
-    for flat in (
+    cases = [(flat, 0, flat.n) for flat in (
         random_connected_flat(50, 120, seed=3),
         lower_bound_flat(40),
         lower_bound_split_flat(30, 7),
-    ):
-        py = flat_source_stats(flat, 0, flat.n)
-        np_ = np_flat_source_stats(flat, 0, flat.n)
+    )]
+    # Frontiers of thousands of entries, in both the int64 and the
+    # float64 regime, which the small shapes above never reach.
+    fractional = _fractional_flat(3000, seed=5)
+    assert not fractional.integral
+    cases += [(random_connected_flat(10_000, 10_000, seed=17), 0, 3),
+              (fractional, 1500, 1504)]
+    for flat, lo, hi in cases:
+        py = flat_source_stats(flat, lo, hi)
+        np_ = np_flat_source_stats(flat, lo, hi)
         assert py == np_  # includes the distance-bytes digest
     pinned = flat_source_stats(random_connected_flat(50, 120, seed=3), 0, 50)
     assert pinned == {

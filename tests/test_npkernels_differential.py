@@ -15,9 +15,11 @@ bucket-queue cap fallback, and serial == pool chaos-row byte-identity
 under both backends.
 """
 
+import contextlib
 import heapq
 import math
 import random
+import signal
 
 import pytest
 
@@ -46,6 +48,8 @@ from repro.graphs.csr import (
     all_sources_scan,
     csr_kruskal_mst,
     csr_prim_mst,
+    flat_of,
+    flat_source_stats,
     sssp_maps,
 )
 from repro.graphs.mst import kruskal_mst_dicts, prim_mst_dicts
@@ -65,7 +69,7 @@ def _fractional_graph(seed: int) -> WeightedGraph:
 
     Dyadic rationals are exact in binary floating point, so equal-length
     paths produce *real* float ties — the hardest case for tie-break
-    identity between the heap and the batched relaxation.
+    identity between the heap and the frontier relaxation.
     """
     rng = random.Random(seed)
     g = random_connected_graph(14, 16, seed=seed)
@@ -208,6 +212,23 @@ def test_sssp_dist_identical(family_graph):
         assert npk.np_delay_propagation(npg, s) == want
 
 
+@requires_numpy
+def test_block_boundaries_identical(family_graph, monkeypatch):
+    # Blocks of 2-3 sources, the last one partial for most shapes, so the
+    # frontier's flat row * n + v offsets and the block loops of both
+    # multi-source entry points cross block boundaries.
+    csr = CSRGraph(family_graph)
+    npg = npk.NPGraph(csr)
+    rows = 3 if csr.n % 3 else 2
+    monkeypatch.setattr(npk, "_SCAN_BLOCK_ELEMS", rows * max(csr.n, npg.m2, 1))
+    monkeypatch.setattr(npk, "_fw_applicable", lambda _npg: False)
+    assert npk.np_all_sources_scan(npg) == all_sources_scan(csr)
+    flat = flat_of(csr)
+    lo = min(1, csr.n)
+    assert (npk.np_flat_source_stats(flat, lo, csr.n)
+            == flat_source_stats(flat, lo, csr.n))
+
+
 # --------------------------------------------------------------------- #
 # Delay propagation against an independent directed oracle
 # --------------------------------------------------------------------- #
@@ -259,15 +280,28 @@ def test_delay_propagation_validation():
         npk.np_delay_propagation(npg, 99)
     with pytest.raises(IndexError):
         npk.np_sssp_dist(npg, -1)
+    # NaN passes a `< 0` check; it must still be rejected, and promptly:
+    # a relaxation loop comparing NaN arrivals never reaches a fixpoint.
+    npg = _np_graph(random_connected_graph(8, 6, seed=1))
+    delays = npg.weights.tolist()
+    delays[0] = math.nan
+    with _deadline(10), pytest.raises(ValueError, match="NaN"):
+        npk.np_delay_propagation(npg, 0, delays)
 
 
-@requires_numpy
-def test_reverse_permutation_is_involution():
-    npg = _np_graph(random_connected_graph(12, 20, seed=9))
-    rev = npg.rev
-    for j in range(npg.m2):
-        assert rev[int(rev[j])] == j
-        assert int(npg.indices[int(rev[j])]) == int(npg.edge_u[j])
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise ``TimeoutError`` in the main thread after ``seconds``."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # --------------------------------------------------------------------- #

@@ -132,6 +132,8 @@ def test_snapshot_spec_params_change_address():
     {"kind": "snapshot", "spec": ["random_connected"]},  # missing params
     {"kind": "trace", "protocol": "dfs", "plan": {"drop": "high"}},
     "not a dict",
+    {"kind": "snapshot", "spec": ["random_connected", 10, 10], "limit": -1},
+    {"kind": "trace", "protocol": "dfs", "limit": -1},
 ])
 def test_malformed_requests_raise_request_error(bad):
     with pytest.raises(RequestError):

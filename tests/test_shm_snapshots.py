@@ -35,6 +35,7 @@ from repro.graphs import (
 )
 from repro.graphs import shm
 from repro.graphs.csr import flat_stripe_stats
+from repro.graphs.npkernels import numpy_available
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="no shared memory on this platform"
@@ -209,6 +210,36 @@ def test_snapshot_cells_pin_kernel_and_validate():
         snapshot_cells(handle, kind="nope")
     with pytest.raises(ValueError):
         snapshot_cells(handle, cell_size=0)
+    with pytest.raises(ValueError):
+        snapshot_cells(handle, limit=-3)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_numpy_source_cells_follow_the_size_rule(monkeypatch):
+    from repro.experiments import parallel
+    from repro.graphs import csr, npkernels
+
+    calls = []
+
+    def spy(name, kernel):
+        def run(flat, lo, hi):
+            calls.append(name)
+            return kernel(flat, lo, hi)
+        return run
+
+    python_kernel = csr.flat_source_stats
+    monkeypatch.setattr(csr, "flat_source_stats", spy("python", python_kernel))
+    monkeypatch.setattr(npkernels, "np_flat_source_stats",
+                        spy("numpy", npkernels.np_flat_source_stats))
+    for n, kernel in ((48, "python"), (200, "numpy")):
+        flat = random_connected_flat(n, n, seed=5)
+        assert (flat.m2 > parallel._PY_SOURCES_MAX_M2) == (kernel == "numpy")
+        cells = snapshot_cells(shm.publish(flat), kind="sources", limit=7,
+                               cell_size=3, kernel="numpy")
+        calls.clear()
+        rows = [run_snapshot_cell(c) for c in cells]
+        assert calls == [kernel] * len(cells)
+        assert rows == [python_kernel(flat, c.lo, c.hi) for c in cells]
 
 
 def test_pool_rebuild_does_not_unlink_segments():

@@ -46,6 +46,9 @@ def test_nonpositive_weight_rejected():
         g.add_edge(1, 2, 0.0)
     with pytest.raises(ValueError):
         g.add_edge(1, 2, -1.0)
+    with pytest.raises(ValueError):
+        g.add_edge(1, 2, float("nan"))
+    assert g.num_vertices == 0
 
 
 def test_remove_edge():
