@@ -9,14 +9,14 @@ retransmission overhead at 20% drop stays below 3x the fault-free
 communication.
 """
 
-from repro.experiments.chaos import chaos_matrix, make_cases
+from repro.experiments.chaos import chaos_matrix
 
 from .util import once, print_table
 
 
 def test_chaos_matrix_at_scale(benchmark):
-    cases = make_cases(n=40, extra_edges=80, graph_seed=11)
-    rows = once(benchmark, lambda: chaos_matrix(cases))
+    rows = once(benchmark,
+                lambda: chaos_matrix(n=40, extra_edges=80, graph_seed=11))
 
     table = []
     for entry in rows:

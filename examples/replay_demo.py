@@ -19,14 +19,17 @@ max-consensus under a lossy fault adversary:
 Run:  python examples/replay_demo.py
 """
 
+import dataclasses
+
+from repro.experiments.chaos import RunSpec
 from repro.faults import FaultPlan
 from repro.obs import load_jsonl
-from repro.replay import ReplaySpec, first_divergence, record_run, verify_trace
+from repro.replay import first_divergence, record_run, verify_trace
 
 
 def main() -> None:
     # -- Act 1: record a gamma_w chaos run ---------------------------- #
-    spec = ReplaySpec(
+    spec = RunSpec(
         protocol="gamma_w(max)", n=8, extra_edges=6, graph_seed=3,
         plan=FaultPlan(drop=0.1, seed=21),
     )
@@ -45,10 +48,8 @@ def main() -> None:
     assert report.ok
 
     # -- Act 3: one-line plan mutation -> first divergent event ------- #
-    mutated = record_run(ReplaySpec(
-        protocol=spec.protocol, n=spec.n, extra_edges=spec.extra_edges,
-        graph_seed=spec.graph_seed,
-        plan=spec.plan.replace(seed=22),  # the one-line mutation
+    mutated = record_run(dataclasses.replace(
+        spec, plan=spec.plan.replace(seed=22),  # the one-line mutation
     ))
     divergence = first_divergence(run.text, mutated.text)
     assert divergence is not None

@@ -32,10 +32,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.experiments.chaos import RunSpec  # noqa: E402
 from repro.experiments.parallel import shutdown_pool  # noqa: E402
 from repro.faults import CrashWindow, FaultPlan  # noqa: E402
 from repro.replay import (  # noqa: E402
-    ReplaySpec,
     check_fleet,
     check_golden,
     record_fleet,
@@ -45,15 +45,15 @@ from repro.replay import (  # noqa: E402
 #: name -> spec. Keep these SMALL (they are committed) and diverse: a
 #: fault-free run, a lossy run, a crash-recover run, and the synchronizer.
 SPECS = {
-    "broadcast_clean": ReplaySpec(
+    "broadcast_clean": RunSpec(
         protocol="broadcast", n=10, extra_edges=10, graph_seed=2),
-    "broadcast_lossy": ReplaySpec(
+    "broadcast_lossy": RunSpec(
         protocol="broadcast", n=10, extra_edges=10, graph_seed=2,
         plan=FaultPlan(drop=0.2, seed=9)),
-    "dfs_crash_recover": ReplaySpec(
+    "dfs_crash_recover": RunSpec(
         protocol="dfs", n=10, extra_edges=10, graph_seed=2,
         plan=FaultPlan(crashes=(CrashWindow(9, 2.0, 8.0),), seed=4)),
-    "gamma_w_max": ReplaySpec(
+    "gamma_w_max": RunSpec(
         protocol="gamma_w(max)", n=8, extra_edges=6, graph_seed=3,
         limit=0),  # aggregate-only: the synchronizer trace is large
 }

@@ -16,21 +16,19 @@ Render the full report from the command line:
 
 from .base import Table, all_experiments, experiment, render_markdown, render_text
 from .parallel import (
-    ChaosCell,
     SnapshotCell,
     cell_seed,
     chaos_cells,
     chaos_rows,
     pool_shm_stats,
-    register_case_provider,
     run_chaos_cell,
     run_parallel,
     run_snapshot_cell,
     shutdown_pool,
     snapshot_cells,
     snapshot_rows,
-    summarize_chaos_entry,
 )
+from .chaos import PROTOCOLS, RunSpec, case_of, run_spec
 
 __all__ = [
     "Table",
@@ -38,15 +36,17 @@ __all__ = [
     "all_experiments",
     "render_text",
     "render_markdown",
+    # one chaos run: spec, case registry, executor
+    "RunSpec",
+    "PROTOCOLS",
+    "case_of",
+    "run_spec",
     # parallel sweep engine
     "run_parallel",
     "cell_seed",
-    "ChaosCell",
     "chaos_cells",
     "run_chaos_cell",
     "chaos_rows",
-    "summarize_chaos_entry",
-    "register_case_provider",
     "shutdown_pool",
     # snapshot sweeps (zero-copy shared-memory graphs)
     "SnapshotCell",

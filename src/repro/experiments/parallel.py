@@ -7,8 +7,9 @@ machinery to shard cells across a process pool while keeping the two
 properties the test-suite pins down:
 
 **Determinism.**  A cell's outcome depends only on the cell description,
-never on which worker ran it or in what order: cell descriptions are
-immutable, carry every seed explicitly, and :func:`cell_seed` derives
+never on which worker ran it or in what order: cell descriptions (a chaos
+cell is a :class:`~repro.experiments.chaos.RunSpec`) are immutable, carry
+every seed explicitly, and :func:`cell_seed` derives
 per-cell seeds by hashing the cell key with SHA-256 (stable across
 processes and interpreter runs, unlike ``hash()`` under hash
 randomization).  ``run_parallel`` returns results in cell order
@@ -18,7 +19,7 @@ serial table.
 **Picklability.**  Full :class:`~repro.faults.runner.ChaosOutcome` objects
 hold live process graphs (closures, bound methods) and cannot cross a
 process boundary, so workers return flat summary rows
-(:func:`summarize_chaos_entry`) containing only primitives.  The serial
+(:func:`run_chaos_cell`) containing only primitives.  The serial
 path (``jobs=None``/``1``) runs the same worker in-process, so serial and
 parallel sweeps produce byte-identical row lists.
 
@@ -34,7 +35,7 @@ parallel sweeps produce byte-identical row lists.
   ``(n, extra_edges, graph_seed, protocols)`` tuple per graph shape in
   the sweep — so no cell ever pays graph/SLT construction inside its own
   timing; anything not pre-warmed is still memoized on first use by the
-  ``lru_cache`` memos (:func:`_cases_by_name`, :func:`_reference`);
+  case and reference memos of :mod:`repro.experiments.chaos`;
 * :func:`parallel_plan` picks the execution mode: serial when the pool
   cannot pay for itself (``jobs <= 1``, a single cell, fewer than two
   usable CPUs, or too few cells per worker), otherwise a chunksize sized
@@ -52,24 +53,21 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import lru_cache
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
 
 if TYPE_CHECKING:
     from ..graphs.shm import SnapshotHandle
+    from .chaos import RunSpec
 
 __all__ = [
     "cell_seed",
     "parallel_plan",
     "run_parallel",
-    "register_case_provider",
     "shutdown_pool",
-    "ChaosCell",
     "chaos_cells",
     "run_chaos_cell",
     "chaos_rows",
-    "summarize_chaos_entry",
     "run_experiment_by_key",
     "SnapshotCell",
     "snapshot_cells",
@@ -145,10 +143,12 @@ def _worker_init(
 
     Runs once in every pool process before it receives cells.  Each spec
     is ``(n, extra_edges, graph_seed, protocols)`` — ``protocols=None``
-    warms every case of that graph shape.  Filling :func:`_cases_by_name`
-    and :func:`_reference` here moves graph construction, SLT building,
-    and the fault-free reference runs out of the first cell each worker
-    executes (they are by far the dominant per-cell setup cost).
+    warms the matrix cases (:data:`~repro.experiments.chaos.MATRIX`) of
+    that graph shape.  Filling the case and reference memos of
+    :mod:`repro.experiments.chaos` here moves graph construction, SLT
+    building, and the fault-free reference runs out of the first cell
+    each worker executes (they are by far the dominant per-cell setup
+    cost).
 
     ``kernel_backend`` pins the graph-kernel backend the parent resolved
     (see :func:`repro.graphs.npkernels.kernel_backend`) so every worker
@@ -176,10 +176,12 @@ def _worker_init(
                 shm.attach(handle)
             except Exception:
                 pass
+    if not warm:
+        return
+    from .chaos import MATRIX, _reference
+
     for n, extra_edges, graph_seed, protocols in warm:
-        cases = _cases_by_name(n, extra_edges, graph_seed)
-        names = protocols if protocols is not None else tuple(cases)
-        for name in names:
+        for name in MATRIX if protocols is None else protocols:
             _reference(n, extra_edges, graph_seed, name)
 
 
@@ -314,33 +316,6 @@ def run_parallel(
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class ChaosCell:
-    """One chaos-matrix cell, fully described by picklable primitives.
-
-    The graph and protocol are carried as *construction parameters*
-    (``make_cases`` arguments plus the protocol name), not as objects:
-    process factories close over precomputed structures and cannot cross a
-    process boundary.  Workers rebuild — and memoize — the suite locally.
-    """
-
-    n: int
-    extra_edges: int
-    graph_seed: int
-    protocol: str
-    drop: float
-    reliable: bool
-    fault_seed: int
-    # Attach a trace recorder to the run and ship its aggregate-only
-    # summary back in the row (defaulted so untraced sweeps keep their
-    # exact historical row shape and byte-identity).
-    trace: bool = False
-    # Run under the shared-state race detector (repro.analysis.race); a
-    # violation surfaces as status "error" in the row.  Defaulted off so
-    # existing sweeps keep byte-identity and zero overhead.
-    race_detect: bool = False
-
-
 def chaos_cells(
     *,
     n: int = 14,
@@ -352,70 +327,29 @@ def chaos_cells(
     protocols: Sequence[str] | None = None,
     trace: bool = False,
     race_detect: bool = False,
-) -> list[ChaosCell]:
-    """The cell list of a chaos sweep, in serial-matrix row order."""
-    if protocols is None:
-        from .chaos import make_cases
+) -> list[RunSpec]:
+    """The cell list of a chaos sweep, in serial-matrix row order.
 
-        protocols = [c.name for c in make_cases(n, extra_edges, graph_seed)]
+    A positive drop rate becomes ``FaultPlan.message_loss(rate,
+    seed=fault_seed)``; ``trace=True`` becomes ``limit=0`` (rows carry an
+    aggregates-only trace summary); ``protocols=None`` sweeps the matrix
+    cases.
+    """
+    from ..faults import FaultPlan
+    from .chaos import MATRIX, RunSpec
+
     cells = []
-    for name in protocols:
+    for name in MATRIX if protocols is None else protocols:
         for rate in drop_rates:
+            plan = (FaultPlan.message_loss(rate, seed=fault_seed)
+                    if rate > 0 else None)
             modes = [True] + ([False] if include_raw and rate > 0 else [])
             for reliable in modes:
-                cells.append(ChaosCell(n, extra_edges, graph_seed, name,
-                                       rate, reliable, fault_seed, trace,
-                                       race_detect))
+                cells.append(RunSpec(name, n, extra_edges, graph_seed,
+                                     reliable=reliable, plan=plan,
+                                     limit=0 if trace else None,
+                                     race=race_detect))
     return cells
-
-
-# Extra chaos-case builders beyond the core suite, registered by other
-# subsystems (repro.replay adds a gamma_w-hosted case).  Each provider is
-# called as provider(n, extra_edges, graph_seed) -> iterable of ChaosCase.
-_case_providers: list[Callable[[int, int, int], Iterable]] = []
-
-
-def register_case_provider(provider: Callable[[int, int, int], Iterable]) -> None:
-    """Register an additional chaos-case builder (idempotent).
-
-    Providers extend the suite :func:`run_chaos_cell` can address by
-    protocol name.  Registration clears the per-process case/reference
-    memos: a pool worker may import the registering module (via the first
-    cell it unpickles) *after* its warm initializer already populated the
-    memos for the same graph shape.
-    """
-    if provider not in _case_providers:
-        _case_providers.append(provider)
-        _cases_by_name.cache_clear()
-        _reference.cache_clear()
-
-
-@lru_cache(maxsize=8)
-def _cases_by_name(n: int, extra_edges: int, graph_seed: int) -> dict:
-    """Per-process memo of the case suite for one benchmark graph."""
-    from .chaos import make_cases
-
-    cases = {c.name: c for c in make_cases(n, extra_edges, graph_seed)}
-    for provider in _case_providers:
-        for case in provider(n, extra_edges, graph_seed):
-            cases[case.name] = case
-    return cases
-
-
-@lru_cache(maxsize=64)
-def _reference(n: int, extra_edges: int, graph_seed: int, protocol: str):
-    """Per-process memo of one protocol's fault-free reference run."""
-    from ..faults import run_chaos
-
-    case = _cases_by_name(n, extra_edges, graph_seed)[protocol]
-    reference = run_chaos(case.graph, case.factory, plan=None,
-                          reliable=False, answer=case.answer)
-    if reference.status != "ok":  # pragma: no cover - suite invariant
-        raise RuntimeError(
-            f"fault-free reference run failed for {protocol}: "
-            f"{reference.status}"
-        )
-    return reference
 
 
 def _summarize(protocol: str, drop: float, reliable: bool,
@@ -442,50 +376,35 @@ def _summarize(protocol: str, drop: float, reliable: bool,
     }
 
 
-def run_chaos_cell(cell: ChaosCell) -> dict:
+def run_chaos_cell(spec: RunSpec) -> dict:
     """Execute one chaos cell and return its flat summary row.
 
     Module-level and closed over nothing, so it shards cleanly across a
     process pool; the expensive shared state (case suite, fault-free
-    reference) is rebuilt once per worker process via the ``lru_cache``
-    memos above.
+    reference) is rebuilt once per worker process by the memos behind
+    :func:`~repro.experiments.chaos.run_spec`.  A traced spec (``limit``
+    set) runs under an aggregates-only recorder and its row gains a
+    ``"trace"`` summary; ``race`` runs the race detector in ``"raise"``
+    mode, so a violation surfaces as status ``"error"``.
     """
-    from ..faults import FaultPlan, run_chaos
+    from .chaos import run_spec
 
-    case = _cases_by_name(cell.n, cell.extra_edges, cell.graph_seed)[cell.protocol]
-    reference = _reference(cell.n, cell.extra_edges, cell.graph_seed,
-                           cell.protocol)
-    ff_cost = reference.result.comm_cost
-    watchdog = 500.0 * max(reference.result.time, 1.0) + 1000.0
-    plan = (FaultPlan.message_loss(cell.drop, seed=cell.fault_seed)
-            if cell.drop > 0 else None)
     recorder = None
-    if cell.trace:
+    if spec.trace:
         # Aggregate-only recorder (limit=0): the per-span breakdown ships
         # back as plain primitives without hauling event logs over IPC.
         from ..obs import TraceRecorder
 
         recorder = TraceRecorder(limit=0)
-    outcome = run_chaos(
-        case.graph, case.factory, plan=plan, reliable=cell.reliable,
-        watchdog_time=watchdog, answer=case.answer, expect=reference.answer,
-        recorder=recorder, race_detect=cell.race_detect,
-    )
-    row = _summarize(cell.protocol, cell.drop, cell.reliable, outcome,
+    outcome, ff_cost = run_spec(spec, recorder=recorder,
+                                race_detect=spec.race)
+    row = _summarize(spec.protocol, spec.drop, spec.reliable, outcome,
                      ff_cost)
-    if cell.trace and outcome.trace is not None:
+    if spec.trace and outcome.trace is not None:
         # Added only when tracing, so untraced rows keep their exact
         # historical shape (serial == pool byte-identity tests).
         row["trace"] = outcome.trace.as_dict()
     return row
-
-
-def summarize_chaos_entry(entry: dict) -> dict:
-    """Flatten one :func:`~repro.experiments.chaos.chaos_matrix` row to the
-    same summary shape :func:`run_chaos_cell` emits (for serial-vs-parallel
-    equality checks)."""
-    return _summarize(entry["protocol"], entry["drop"], entry["reliable"],
-                      entry["outcome"], entry["ff_cost"])
 
 
 def chaos_rows(

@@ -20,9 +20,10 @@ structured tracer (``repro.obs``), and the determinism tooling
   :class:`~repro.faults.plan.FaultPlan` mutants (deterministic corpus;
   ddmin-minimized failures; ``--verify`` replays every failure).
 
-Importing this package registers the ``gamma_w(max)`` chaos case — the
-paper's synchronizer hosting max-consensus — with the sweep engine, so
-synchronizer runs record, replay, and fuzz like any other protocol.
+Every run here is a :class:`~repro.experiments.chaos.RunSpec`; the
+``gamma_w(max)`` case (the paper's synchronizer hosting max-consensus)
+is in its static registry, so synchronizer runs record, replay, and fuzz
+like any other protocol.
 """
 
 from .diff import Divergence, bisect_divergence, first_divergence
@@ -30,12 +31,10 @@ from .engine import (
     RecordedRun,
     ReplayError,
     ReplayReport,
-    ReplaySpec,
     check_golden,
     golden_paths,
     record_golden,
     record_run,
-    register_cases,
     replay_trace,
     spec_of,
     verify_trace,
@@ -52,7 +51,7 @@ from .fleet import (
 #: ``python -m repro.replay.fuzz`` does not import the submodule twice
 #: (once here, once as ``__main__`` — runpy warns about that).
 _FUZZ_NAMES = frozenset({
-    "FuzzCell", "FuzzResult", "evaluate_cell", "outcome_signature",
+    "FuzzResult", "evaluate_cell", "outcome_signature",
     "mutate_plan", "plan_atoms", "plan_from_atoms", "ddmin",
     "minimize_plan", "write_corpus", "verify_entry",
 })
@@ -74,7 +73,6 @@ def __getattr__(name):
 
 __all__ = [
     "ReplayError",
-    "ReplaySpec",
     "RecordedRun",
     "ReplayReport",
     "record_run",
@@ -84,7 +82,6 @@ __all__ = [
     "record_golden",
     "check_golden",
     "golden_paths",
-    "register_cases",
     "Divergence",
     "first_divergence",
     "bisect_divergence",
@@ -94,7 +91,6 @@ __all__ = [
     "fleet_sample",
     "record_fleet",
     "check_fleet",
-    "FuzzCell",
     "FuzzResult",
     "evaluate_cell",
     "outcome_signature",
@@ -107,8 +103,3 @@ __all__ = [
     "write_corpus",
     "verify_entry",
 ]
-
-# The gamma_w case rides along whenever the replay subsystem is in play —
-# including in pool workers, which import this package while unpickling
-# their first replay/fuzz cell.
-register_cases()

@@ -14,9 +14,10 @@ import json
 import sys
 from collections.abc import Sequence
 
+from ..experiments.chaos import RunSpec
 from ..faults.plan import FaultPlan
 from .diff import first_divergence
-from .engine import ReplaySpec, check_golden, record_golden
+from .engine import check_golden, record_golden
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -46,11 +47,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "record":
         plan = (FaultPlan.from_dict(json.loads(args.plan))
                 if args.plan else None)
-        spec = ReplaySpec(
-            protocol=args.protocol, n=args.n, extra_edges=args.extra_edges,
-            graph_seed=args.graph_seed, seed=args.seed,
-            reliable=not args.unreliable, plan=plan,
-        )
+        try:
+            spec = RunSpec(
+                protocol=args.protocol, n=args.n, extra_edges=args.extra_edges,
+                graph_seed=args.graph_seed, seed=args.seed,
+                reliable=not args.unreliable, plan=plan,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
         path = record_golden(spec, args.out)
         print(f"recorded {args.protocol!r} -> {path}")
         return 0

@@ -3,8 +3,9 @@
 A simulation here is a pure function of ``(graph, protocol, FaultPlan,
 seed)``, so a JSONL trace (``repro.obs``) plus the few integers that
 rebuilt its inputs is a *complete*, executable description of the run.
-:class:`ReplaySpec` captures those inputs; :func:`record_run` stamps them
-into the trace's meta header under the ``"replay"`` key; and
+A :class:`~repro.experiments.chaos.RunSpec` captures those inputs;
+:func:`record_run` stamps its canonical dict into the trace's meta header
+under the ``"replay"`` key; and
 :func:`replay_trace` closes the loop — load the header, rebuild the exact
 graph (refusing on a :func:`~repro.graphs.io.graph_fingerprint` mismatch),
 re-run, and re-export.  :func:`verify_trace` then compares old and new
@@ -17,11 +18,9 @@ pytest parametrized over :func:`golden_paths` replays every one on each
 test run.
 
 Protocols are addressed by their chaos-suite case name
-(:func:`repro.experiments.chaos.make_cases`); importing
-:mod:`repro.replay` additionally registers a ``gamma_w(max)`` case — the
-paper's synchronizer hosting max-consensus — via
-:func:`repro.experiments.parallel.register_case_provider`, so synchronizer
-runs record and replay through the same header format.
+(:data:`repro.experiments.chaos.PROTOCOLS`, which includes
+``gamma_w(max)`` — the paper's synchronizer hosting max-consensus), so
+synchronizer runs record and replay through the same header format.
 """
 
 from __future__ import annotations
@@ -30,14 +29,13 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from ..faults.plan import FaultPlan
+from ..experiments.chaos import RunSpec, case_of, run_spec
 from ..graphs.io import graph_fingerprint
 from ..obs.exporters import LoadedTrace, jsonable, read_jsonl, to_jsonl
 from ..obs.recorder import TraceRecorder
 
 __all__ = [
     "ReplayError",
-    "ReplaySpec",
     "RecordedRun",
     "ReplayReport",
     "record_run",
@@ -51,140 +49,56 @@ __all__ = [
 
 
 class ReplayError(RuntimeError):
-    """A trace cannot be replayed (missing header, unknown protocol,
-    or the rebuilt graph no longer matches the recorded fingerprint)."""
-
-
-_SPEC_KEYS = frozenset({
-    "protocol", "n", "extra_edges", "graph_seed", "seed", "reliable",
-    "plan", "limit", "race", "graph_fp",
-})
-
-
-@dataclass(frozen=True)
-class ReplaySpec:
-    """Everything needed to re-execute one chaos run from scratch.
-
-    ``protocol`` names a case in the chaos suite (including
-    provider-registered ones such as ``gamma_w(max)``); ``n`` /
-    ``extra_edges`` / ``graph_seed`` parameterize the benchmark graph the
-    suite is built on; ``seed`` drives delays and fault sampling; ``plan``
-    is the fault adversary (``None`` = fault-free); ``limit`` is the
-    recorder's ring-buffer bound; ``race`` arms the shared-state detector
-    in ``"record"`` mode.  ``graph_fp`` is stamped by :func:`record_run`,
-    never supplied by hand.
-    """
-
-    protocol: str
-    n: int = 14
-    extra_edges: int = 20
-    graph_seed: int = 2
-    seed: int = 0
-    reliable: bool = True
-    plan: FaultPlan | None = None
-    limit: int | None = None
-    race: bool = False
-    graph_fp: str | None = None
-
-    def header(self, graph_fp: str) -> dict:
-        """The jsonable ``"replay"`` meta entry (canonical plan dict)."""
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "extra_edges": self.extra_edges,
-            "graph_seed": self.graph_seed,
-            "seed": self.seed,
-            "reliable": self.reliable,
-            "plan": None if self.plan is None else self.plan.to_dict(),
-            "limit": self.limit,
-            "race": self.race,
-            "graph_fp": graph_fp,
-        }
-
-    @classmethod
-    def from_header(cls, header: dict) -> ReplaySpec:
-        """Rebuild a spec from a trace's ``"replay"`` meta entry."""
-        unknown = set(header) - _SPEC_KEYS
-        if unknown:
-            raise ReplayError(f"unknown replay header keys: {sorted(unknown)}")
-        if "protocol" not in header:
-            raise ReplayError("replay header missing 'protocol'")
-        plan = header.get("plan")
-        return cls(
-            protocol=header["protocol"],
-            n=int(header.get("n", 14)),
-            extra_edges=int(header.get("extra_edges", 20)),
-            graph_seed=int(header.get("graph_seed", 2)),
-            seed=int(header.get("seed", 0)),
-            reliable=bool(header.get("reliable", True)),
-            plan=None if plan is None else FaultPlan.from_dict(plan),
-            limit=header.get("limit"),
-            race=bool(header.get("race", False)),
-            graph_fp=header.get("graph_fp"),
-        )
+    """A trace cannot be replayed (missing or invalid replay header, or
+    the rebuilt graph no longer matches the recorded fingerprint)."""
 
 
 @dataclass
 class RecordedRun:
     """One executed-and-exported run: outcome, live recorder, JSONL text."""
 
-    spec: ReplaySpec
+    spec: RunSpec
     outcome: Any
     recorder: TraceRecorder
     text: str
 
 
-def _case(spec: ReplaySpec):
-    """Resolve the spec's chaos case (suite + registered providers)."""
-    from ..experiments.parallel import _cases_by_name
-
-    cases = _cases_by_name(spec.n, spec.extra_edges, spec.graph_seed)
-    try:
-        return cases[spec.protocol]
-    except KeyError:
-        raise ReplayError(
-            f"unknown protocol {spec.protocol!r}; "
-            f"known: {sorted(cases)}"
-        ) from None
-
-
-def record_run(spec: ReplaySpec) -> RecordedRun:
+def record_run(spec: RunSpec) -> RecordedRun:
     """Execute ``spec`` with a replay header stamped into its trace.
 
-    The fault-free reference run (memoized per process) supplies the
-    expected answer — so a faulted run that completes wrong classifies
-    ``"wrong"`` — and the watchdog deadline, using the same formula as the
-    sweep engine so a cell and its replay see identical cutoffs.
+    The header is the spec's canonical dict plus the ``graph_fp``
+    fingerprint of the graph it runs on.  The recorder keeps at most
+    ``spec.limit`` events (``None`` keeps all), and ``spec.race`` runs the
+    race detector in ``"record"`` mode, so violations land in the trace.
     """
-    from ..experiments.parallel import _reference
-    from ..faults.runner import run_chaos
-
-    case = _case(spec)
-    reference = _reference(spec.n, spec.extra_edges, spec.graph_seed,
-                           spec.protocol)
-    watchdog = 500.0 * max(reference.result.time, 1.0) + 1000.0
     recorder = TraceRecorder(limit=spec.limit)
-    recorder.meta["replay"] = jsonable(
-        spec.header(graph_fingerprint(case.graph))
-    )
-    outcome = run_chaos(
-        case.graph, case.factory, plan=spec.plan, reliable=spec.reliable,
-        watchdog_time=watchdog, seed=spec.seed, answer=case.answer,
-        expect=reference.answer, recorder=recorder,
-        race_detect="record" if spec.race else False,
-    )
+    recorder.meta["replay"] = jsonable({
+        **spec.to_dict(),
+        "graph_fp": graph_fingerprint(case_of(spec).graph),
+    })
+    outcome, _ff_cost = run_spec(
+        spec, recorder=recorder, race_detect="record" if spec.race else False)
     return RecordedRun(spec, outcome, recorder, to_jsonl(recorder))
 
 
-def spec_of(trace: LoadedTrace) -> ReplaySpec:
-    """Extract the :class:`ReplaySpec` a trace was recorded under."""
+def _header(trace: LoadedTrace) -> dict:
     header = trace.meta.get("replay")
     if not isinstance(header, dict):
         raise ReplayError(
             "trace has no 'replay' meta header; only traces produced by "
             "record_run / the fuzzer are replayable"
         )
-    return ReplaySpec.from_header(header)
+    return header
+
+
+def spec_of(trace: LoadedTrace) -> RunSpec:
+    """The :class:`~repro.experiments.chaos.RunSpec` a trace was recorded
+    under; a header that names no valid spec raises :class:`ReplayError`."""
+    fields = {k: v for k, v in _header(trace).items() if k != "graph_fp"}
+    try:
+        return RunSpec.from_dict(fields)
+    except (ValueError, TypeError) as exc:
+        raise ReplayError(f"invalid replay header: {exc}") from None
 
 
 def replay_trace(trace: LoadedTrace) -> RecordedRun:
@@ -195,10 +109,11 @@ def replay_trace(trace: LoadedTrace) -> RecordedRun:
     baffling event-level divergence.
     """
     spec = spec_of(trace)
-    fp = graph_fingerprint(_case(spec).graph)
-    if spec.graph_fp is not None and fp != spec.graph_fp:
+    recorded = _header(trace).get("graph_fp")
+    fp = graph_fingerprint(case_of(spec).graph)
+    if recorded is not None and fp != recorded:
         raise ReplayError(
-            f"graph fingerprint mismatch: trace recorded {spec.graph_fp}, "
+            f"graph fingerprint mismatch: trace recorded {recorded}, "
             f"rebuild produced {fp} (generator or suite drift)"
         )
     return record_run(spec)
@@ -209,7 +124,7 @@ class ReplayReport:
     """Outcome of :func:`verify_trace`: byte-identical, or where not."""
 
     ok: bool
-    spec: ReplaySpec
+    spec: RunSpec
     replayed: RecordedRun
     divergence: Any = None  # repro.replay.diff.Divergence | None
 
@@ -244,7 +159,7 @@ def verify_trace(trace: LoadedTrace) -> ReplayReport:
 # Golden-trace corpus
 # --------------------------------------------------------------------- #
 
-def record_golden(spec: ReplaySpec, path: str) -> str:
+def record_golden(spec: RunSpec, path: str) -> str:
     """Record ``spec`` and pin its trace at ``path``; returns the path."""
     run = record_run(spec)
     with open(path, "w") as fh:
@@ -267,52 +182,3 @@ def golden_paths(dirpath: str) -> list[str]:
         for name in os.listdir(dirpath)
         if name.endswith(".jsonl")
     )
-
-
-# --------------------------------------------------------------------- #
-# gamma_w as a replayable chaos case
-# --------------------------------------------------------------------- #
-
-def _gamma_w_cases(n: int, extra_edges: int, graph_seed: int) -> list:
-    """The paper's synchronizer, packaged as a chaos-suite case.
-
-    ``gamma_w(max)`` runs :class:`~repro.synch.gamma_w.GammaWHost` nodes
-    (hosting synchronous max-consensus) on the *normalized* benchmark
-    graph, so the full stack — in-synch transform, per-level gamma
-    clusters, pulse engine — sits under the fault adversary and the replay
-    contract.  The answer is every node's hosted result (all must hold the
-    global maximum).
-    """
-    from ..experiments.chaos import ChaosCase
-    from ..graphs.generators import random_connected_graph
-    from ..graphs.paths import diameter
-    from ..protocols.max_consensus import SyncMaxConsensus
-    from ..synch.gamma_w import GammaWConfig, GammaWHost
-
-    g = random_connected_graph(n, extra_edges, seed=graph_seed)
-    cfg = GammaWConfig(g, k=2)
-    stop_pulse = int(diameter(g)) + 1
-    w_max = int(max(w for _u, _v, w in g.edges()))
-    max_pulse = 4 * (stop_pulse + 1) + 4 * w_max + 8
-    values = {v: (v * 37 + 11) % (3 * n) for v in g.vertices}
-
-    def inner(u: Any) -> SyncMaxConsensus:
-        return SyncMaxConsensus(values[u], stop_pulse)
-
-    def factory(v: Any) -> GammaWHost:
-        return GammaWHost(v, cfg, inner, max_pulse)
-
-    def answer(result: Any) -> Any:
-        return sorted(
-            (repr(v), p.wrapper.inner_result)
-            for v, p in result.processes.items()
-        )
-
-    return [ChaosCase("gamma_w(max)", cfg.normalized, factory, answer)]
-
-
-def register_cases() -> None:
-    """Register the gamma_w case with the sweep engine (idempotent)."""
-    from ..experiments.parallel import register_case_provider
-
-    register_case_provider(_gamma_w_cases)

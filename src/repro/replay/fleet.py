@@ -6,7 +6,8 @@ to hundreds or thousands of pinned traces by deriving a deterministic
 spec matrix and pushing recording/checking through the persistent
 process pool:
 
-* :func:`fleet_specs` enumerates ``count`` :class:`ReplaySpec`\\ s over a
+* :func:`fleet_specs` enumerates ``count`` named
+  :class:`~repro.experiments.chaos.RunSpec`\\ s over a
   protocol x seed x adversary grid (every knob derived from the fleet
   seed via :func:`~repro.experiments.parallel.cell_seed`, so the corpus
   is identical on every host);
@@ -30,8 +31,9 @@ import json
 import os
 from typing import Any
 
+from ..experiments.chaos import RunSpec
 from ..faults.plan import FaultPlan
-from .engine import ReplaySpec, check_golden, record_run
+from .engine import check_golden, record_run
 
 __all__ = [
     "FLEET_PROTOCOLS",
@@ -64,7 +66,7 @@ def fleet_specs(
     graph_seed: int = 2,
     fleet_seed: int = 0,
     limit: int | None = 200,
-) -> list[tuple[str, ReplaySpec]]:
+) -> list[tuple[str, RunSpec]]:
     """``count`` deterministic ``(name, spec)`` pairs of the fleet grid.
 
     Index ``i`` fixes every knob: the protocol and adversary cycle, and
@@ -88,7 +90,7 @@ def fleet_specs(
                 seed=cell_seed(fleet_seed, "fleet-fault", i) % 1_000_000,
             )
         name = f"fleet-{i:05d}-{protocol.replace('(', '_').rstrip(')')}"
-        out.append((name, ReplaySpec(
+        out.append((name, RunSpec(
             protocol=protocol, n=n, extra_edges=extra_edges,
             graph_seed=graph_seed, seed=seed, plan=plan, limit=limit,
         )))
@@ -100,7 +102,7 @@ def _shard_of(name: str) -> str:
     return f"shard-{h % _SHARD_COUNT:02d}"
 
 
-def _record_cell(item: tuple[str, ReplaySpec]) -> tuple[str, str, str]:
+def _record_cell(item: tuple[str, RunSpec]) -> tuple[str, str, str]:
     """Pool worker: record one spec; returns ``(name, sha256, text)``."""
     name, spec = item
     text = record_run(spec).text

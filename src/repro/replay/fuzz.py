@@ -14,7 +14,9 @@ iteration count (never wall-clock), the mutator RNG is seeded, plans are
 canonicalized through ``FaultPlan.from_dict(...).to_dict()``, and every
 line is ``json.dumps(..., sort_keys=True)``.
 
-Each corpus entry embeds enough to re-run it through the replay engine
+Each evaluation is a :class:`~repro.experiments.chaos.RunSpec`
+(aggregate-only recorder, race detector recording), and each corpus entry
+embeds enough to rebuild it and re-run it through the replay engine
 (:mod:`repro.replay.engine`); ``--verify`` re-executes every failing
 entry, asserting the minimized plan still fails, is no larger than its
 parent, and replays byte-identically.
@@ -35,10 +37,10 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..experiments.chaos import RunSpec
 from ..faults.plan import CrashWindow, FaultPlan
 
 __all__ = [
-    "FuzzCell",
     "FuzzResult",
     "evaluate_cell",
     "outcome_signature",
@@ -65,55 +67,28 @@ def plan_key(plan: FaultPlan) -> str:
     return json.dumps(plan.to_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class FuzzCell:
-    """One fuzz evaluation: a protocol and a canonical plan, picklable.
-
-    The plan travels as its canonical JSON string so cells are hashable
-    and shard across the process pool unchanged.
-    """
-
-    protocol: str
-    plan_json: str
-    n: int = 10
-    extra_edges: int = 10
-    graph_seed: int = 2
-    seed: int = 0
-    reliable: bool = True
-
-    def spec(self):
-        """The cell's :class:`~repro.replay.engine.ReplaySpec`
-        (aggregate-only recorder, race detector recording)."""
-        from .engine import ReplaySpec
-
-        return ReplaySpec(
-            protocol=self.protocol,
-            n=self.n, extra_edges=self.extra_edges,
-            graph_seed=self.graph_seed, seed=self.seed,
-            reliable=self.reliable,
-            plan=FaultPlan.from_dict(json.loads(self.plan_json)),
-            limit=0, race=True,
-        )
+def _fuzz_spec(protocol: str, plan: FaultPlan, *, n: int, extra_edges: int,
+               graph_seed: int, seed: int = 0, reliable: bool) -> RunSpec:
+    """One fuzz evaluation: aggregate-only recorder, race detector on."""
+    return RunSpec(protocol, n, extra_edges, graph_seed, seed=seed,
+                   reliable=reliable, plan=plan, limit=0, race=True)
 
 
-def evaluate_cell(cell: FuzzCell) -> dict:
-    """Run one cell and flatten the outcome to a primitive row.
+def evaluate_cell(spec: RunSpec) -> dict:
+    """Run one fuzz evaluation and flatten the outcome to a primitive row.
 
     Module-level and closed over nothing so it shards across the
-    persistent pool; the first cell a worker unpickles imports this
-    module, which registers the extra replay cases before the case memo
-    is consulted.
+    persistent pool.
     """
     from .engine import record_run
 
-    run = record_run(cell.spec())
-    outcome = run.outcome
+    outcome = record_run(spec).outcome
     trace = outcome.trace
     counts = trace.counts if trace is not None else {}
     spans = trace.count_by_span if trace is not None else {}
     return {
-        "protocol": cell.protocol,
-        "plan": json.loads(cell.plan_json),
+        "protocol": spec.protocol,
+        "plan": spec.plan.to_dict(),
         "status": outcome.status,
         "crashed": outcome.crashed,
         "violations": [list(v) for v in outcome.violations],
@@ -279,20 +254,21 @@ def ddmin(atoms: list, test: Callable[[list], bool]) -> list:
     return atoms
 
 
-def minimize_plan(cell: FuzzCell) -> tuple[FaultPlan, int]:
-    """ddmin-minimize a failing cell's plan.
+def minimize_plan(spec: RunSpec) -> tuple[FaultPlan, int]:
+    """ddmin-minimize a failing evaluation's plan.
 
     Returns ``(minimized_plan, evaluations_spent)``.  The failure
     predicate is ``status != "ok"`` re-run through :func:`evaluate_cell`
     (memoized on the canonical plan key — probes repeat heavily).
     """
-    base = FaultPlan.from_dict(json.loads(cell.plan_json))
+    base = spec.plan
     cache: dict[str, bool] = {}
 
     def failing(atoms: list) -> bool:
-        key = plan_key(plan_from_atoms(base, atoms))
+        plan = plan_from_atoms(base, atoms)
+        key = plan_key(plan)
         if key not in cache:
-            row = evaluate_cell(dataclasses.replace(cell, plan_json=key))
+            row = evaluate_cell(dataclasses.replace(spec, plan=plan))
             cache[key] = row["status"] != "ok"
         return cache[key]
 
@@ -379,24 +355,23 @@ def fuzz(
             parent = population[rng.randrange(len(population))]
             mutant = mutate_plan(FaultPlan.from_dict(json.loads(parent)),
                                  rng, vertices, edge_pairs)
-            cells.append(FuzzCell(
-                protocol=protocol, plan_json=plan_key(mutant),
-                n=n, extra_edges=extra_edges, graph_seed=graph_seed,
-                reliable=reliable,
+            cells.append(_fuzz_spec(
+                protocol, mutant, n=n, extra_edges=extra_edges,
+                graph_seed=graph_seed, reliable=reliable,
             ))
         rows = run_parallel(evaluate_cell, cells, jobs=jobs)
-        for cell, row in zip(cells, rows):
+        for spec, row in zip(cells, rows):
             result.evaluations += 1
             signature = outcome_signature(row)
             if signature in coverage:
                 continue
             coverage[signature] = result.evaluations
-            population.append(cell.plan_json)
+            population.append(plan_key(spec.plan))
             entry = {
                 "found_at": result.evaluations,
-                "protocol": cell.protocol,
+                "protocol": spec.protocol,
                 "n": n, "extra_edges": extra_edges,
-                "graph_seed": graph_seed, "seed": cell.seed,
+                "graph_seed": graph_seed, "seed": spec.seed,
                 "reliable": reliable,
                 "plan": row["plan"],
                 "status": row["status"],
@@ -407,19 +382,19 @@ def fuzz(
                 "violations": row["violations"],
             }
             if minimize and row["status"] != "ok":
-                minimized, probes = minimize_plan(cell)
+                minimized, probes = minimize_plan(spec)
                 result.minimize_evaluations += probes
                 entry["minimized"] = minimized.to_dict()
                 entry["minimized_atoms"] = len(plan_atoms(minimized))
                 entry["parent_atoms"] = len(plan_atoms(
                     FaultPlan.from_dict(row["plan"])))
                 say(f"[{result.evaluations}/{budget}] novel "
-                    f"{row['status']!r} on {cell.protocol} "
+                    f"{row['status']!r} on {spec.protocol} "
                     f"(minimized {entry['parent_atoms']} -> "
                     f"{entry['minimized_atoms']} atoms)")
             else:
                 say(f"[{result.evaluations}/{budget}] novel "
-                    f"{row['status']!r} on {cell.protocol}")
+                    f"{row['status']!r} on {spec.protocol}")
             result.entries.append(entry)
     return result
 
@@ -449,28 +424,25 @@ def verify_entry(entry: dict) -> list[str]:
     from .engine import record_run, verify_trace
 
     problems: list[str] = []
-    cell = FuzzCell(
-        protocol=entry["protocol"],
-        plan_json=json.dumps(entry["plan"], sort_keys=True),
+    spec = _fuzz_spec(
+        entry["protocol"], FaultPlan.from_dict(entry["plan"]),
         n=entry["n"], extra_edges=entry["extra_edges"],
         graph_seed=entry["graph_seed"], seed=entry["seed"],
         reliable=entry["reliable"],
     )
-    row = evaluate_cell(cell)
-    if row["status"] != entry["status"]:
+    run = record_run(spec)
+    if run.outcome.status != entry["status"]:
         problems.append(
             f"status drifted: recorded {entry['status']!r}, "
-            f"re-run gave {row['status']!r}"
+            f"re-run gave {run.outcome.status!r}"
         )
     if "minimized" in entry:
         min_plan = FaultPlan.from_dict(entry["minimized"])
         if len(plan_atoms(min_plan)) > entry["parent_atoms"]:
             problems.append("minimized plan is larger than its parent")
-        min_row = evaluate_cell(dataclasses.replace(
-            cell, plan_json=plan_key(min_plan)))
+        min_row = evaluate_cell(dataclasses.replace(spec, plan=min_plan))
         if min_row["status"] == "ok":
             problems.append("minimized plan no longer fails")
-    run = record_run(cell.spec())
     report = verify_trace(load_jsonl(run.text))
     if not report.ok:
         problems.append(f"replay divergence: {report.divergence.describe()}")

@@ -20,8 +20,13 @@ Four request kinds cover the engine's workloads:
     (:func:`repro.experiments.parallel.snapshot_rows`), addressed by its
     *generator spec* — the spec is the graph's content address;
 ``trace``
-    one recorded, replayable run (:func:`repro.replay.record_run`); the
-    payload is the JSONL trace document itself.
+    one recorded, replayable run (:func:`repro.replay.record_run`): the
+    request is a :class:`~repro.experiments.chaos.RunSpec` dict plus
+    ``backend``, and the payload is the JSONL trace document itself.
+
+A protocol a request names must be one of
+:data:`~repro.experiments.chaos.PROTOCOLS`; any other is a
+:class:`RequestError` at canonicalization, never an execution failure.
 
 ``backend`` defaults to the ambient kernel backend resolved *at
 canonicalization time* (``auto`` never reaches an address): two hosts
@@ -90,9 +95,11 @@ def _as_rate(name: str, v: Any) -> float:
     return f
 
 
-def _as_str(name: str, v: Any) -> str:
-    if not isinstance(v, str):
-        raise RequestError(f"{name} must be a string, got {v!r}")
+def _as_protocol(name: str, v: Any) -> str:
+    from ..experiments.chaos import PROTOCOLS
+
+    if v not in PROTOCOLS:
+        raise RequestError(f"{name} must be one of {list(PROTOCOLS)}, got {v!r}")
     return v
 
 
@@ -103,7 +110,7 @@ def _as_backend(name: str, v: Any) -> str:
         return kernel_backend()
     if v not in _BACKENDS:
         raise RequestError(f"{name} must be one of {_BACKENDS}, got {v!r}")
-    return str(v)
+    return v
 
 
 def _as_opt_int(name: str, v: Any) -> int | None:
@@ -121,24 +128,7 @@ def _as_protocols(name: str, v: Any) -> list[str] | None:
         return None
     if not isinstance(v, (list, tuple)) or not v:
         raise RequestError(f"{name} must be null or a non-empty list")
-    return [_as_str(f"{name}[{i}]", p) for i, p in enumerate(v)]
-
-
-def _as_plan(name: str, v: Any) -> dict | None:
-    """Round a plan dict through :class:`~repro.faults.plan.FaultPlan` so
-    the canonical form is the plan's own canonical ``to_dict`` (sorted
-    crashes, normalized edges, every rate explicit) and validation is the
-    plan's own."""
-    if v is None:
-        return None
-    if not isinstance(v, dict):
-        raise RequestError(f"{name} must be null or a FaultPlan dict")
-    from ..faults.plan import FaultPlan
-
-    try:
-        return FaultPlan.from_dict(v).to_dict()
-    except (ValueError, TypeError) as exc:
-        raise RequestError(f"invalid {name}: {exc}") from None
+    return [_as_protocol(f"{name}[{i}]", p) for i, p in enumerate(v)]
 
 
 # Generator-spec families: name -> (positional arg names, defaults).
@@ -210,7 +200,7 @@ def _as_spec(name: str, v: Any) -> list[Any]:
 def _as_sweep_kind(name: str, v: Any) -> str:
     if v not in ("stripe", "sources"):
         raise RequestError(f"{name} must be 'stripe' or 'sources', got {v!r}")
-    return str(v)
+    return v
 
 
 # ---------------------------------------------------------------------- #
@@ -233,7 +223,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
         "backend": (None, _as_backend),
     },
     "chaos": {
-        "protocol": (_REQUIRED, _as_str),
+        "protocol": (_REQUIRED, _as_protocol),
         "n": (14, _as_int),
         "extra_edges": (20, _as_int),
         "graph_seed": (2, _as_int),
@@ -251,27 +241,29 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
         "cell_size": (1, _as_int),
         "backend": (None, _as_backend),
     },
-    "trace": {
-        "protocol": (_REQUIRED, _as_str),
-        "n": (14, _as_int),
-        "extra_edges": (20, _as_int),
-        "graph_seed": (2, _as_int),
-        "seed": (0, _as_int),
-        "reliable": (True, _as_bool),
-        "plan": (None, _as_plan),
-        "limit": (None, _as_opt_int),
-        "race": (False, _as_bool),
-        "backend": (None, _as_backend),
-    },
 }
+
+
+def _canonical_trace(request: dict) -> dict:
+    """A trace request is a :class:`~repro.experiments.chaos.RunSpec` dict
+    plus ``backend``; its canonical form is the spec's canonical dict."""
+    from ..experiments.chaos import RunSpec
+
+    fields = {k: v for k, v in request.items() if k not in ("kind", "backend")}
+    try:
+        spec = RunSpec.from_dict(fields)
+    except (ValueError, TypeError) as exc:
+        raise RequestError(f"invalid trace request: {exc}") from None
+    return {"kind": "trace", **spec.to_dict(),
+            "backend": _as_backend("backend", request.get("backend"))}
 
 
 def canonical_request(request: dict) -> dict:
     """Validate ``request`` and return its canonical form.
 
     Canonical means: ``kind`` plus *every* schema field present (defaults
-    filled), values normalized (rates to floats, plans through
-    ``FaultPlan``, generator specs to their flat list form).  Two requests
+    filled), values normalized (rates to floats, a trace request through
+    ``RunSpec``, generator specs to their flat list form).  Two requests
     with the same meaning canonicalize to equal dicts; any semantic knob
     difference survives into the canonical form.  Unknown kinds or fields
     raise :class:`RequestError` — a typo'd knob must fail loudly, never
@@ -280,10 +272,12 @@ def canonical_request(request: dict) -> dict:
     if not isinstance(request, dict):
         raise RequestError(f"request must be a dict, got {type(request).__name__}")
     kind = request.get("kind")
-    if kind not in _SCHEMAS:
+    if kind not in REQUEST_KINDS:
         raise RequestError(
             f"request kind must be one of {REQUEST_KINDS}, got {kind!r}"
         )
+    if kind == "trace":
+        return _canonical_trace(request)
     schema = _SCHEMAS[kind]
     unknown = set(request) - set(schema) - {"kind"}
     if unknown:
@@ -298,7 +292,7 @@ def canonical_request(request: dict) -> dict:
             value = default
         canon[field] = normalize(field, value)
     # Cheap structural sanity that the executor would otherwise hit late.
-    if kind in ("sweep", "chaos", "trace") and canon["n"] < 2:
+    if kind in ("sweep", "chaos") and canon["n"] < 2:
         raise RequestError(f"n must be >= 2, got {canon['n']}")
     if kind == "snapshot" and canon["cell_size"] < 1:
         raise RequestError(f"cell_size must be >= 1, got {canon['cell_size']}")

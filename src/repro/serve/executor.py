@@ -54,20 +54,20 @@ def _execute_sweep(canon: dict, jobs: int | None) -> list[dict]:
 
 
 def _execute_chaos(canon: dict, jobs: int | None) -> dict:
-    from ..experiments.parallel import ChaosCell, run_chaos_cell
+    """One sweep cell: a positive ``drop`` becomes a message-loss plan
+    seeded by ``fault_seed``, ``trace`` becomes ``limit=0``."""
+    from ..experiments.chaos import RunSpec
+    from ..experiments.parallel import run_chaos_cell
+    from ..faults.plan import FaultPlan
 
-    cell = ChaosCell(
-        n=canon["n"],
-        extra_edges=canon["extra_edges"],
-        graph_seed=canon["graph_seed"],
-        protocol=canon["protocol"],
-        drop=canon["drop"],
-        reliable=canon["reliable"],
-        fault_seed=canon["fault_seed"],
-        trace=canon["trace"],
-        race_detect=canon["race_detect"],
-    )
-    return run_chaos_cell(cell)
+    drop = canon["drop"]
+    return run_chaos_cell(RunSpec(
+        canon["protocol"], canon["n"], canon["extra_edges"],
+        canon["graph_seed"], reliable=canon["reliable"],
+        plan=(FaultPlan.message_loss(drop, seed=canon["fault_seed"])
+              if drop > 0 else None),
+        limit=0 if canon["trace"] else None, race=canon["race_detect"],
+    ))
 
 
 def _execute_snapshot(canon: dict, jobs: int | None) -> list[dict]:
@@ -99,22 +99,11 @@ def _execute_snapshot(canon: dict, jobs: int | None) -> list[dict]:
 
 
 def _execute_trace(canon: dict, jobs: int | None) -> str:
-    from ..faults.plan import FaultPlan
-    from ..replay.engine import ReplaySpec, record_run
+    from ..experiments.chaos import RunSpec
+    from ..replay.engine import record_run
 
-    plan = canon["plan"]
-    spec = ReplaySpec(
-        protocol=canon["protocol"],
-        n=canon["n"],
-        extra_edges=canon["extra_edges"],
-        graph_seed=canon["graph_seed"],
-        seed=canon["seed"],
-        reliable=canon["reliable"],
-        plan=None if plan is None else FaultPlan.from_dict(plan),
-        limit=canon["limit"],
-        race=canon["race"],
-    )
-    return record_run(spec).text
+    fields = {k: v for k, v in canon.items() if k not in ("kind", "backend")}
+    return record_run(RunSpec.from_dict(fields)).text
 
 
 _EXECUTORS = {

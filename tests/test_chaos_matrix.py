@@ -15,7 +15,7 @@ function} at seeded drop rates {0, 0.05, 0.2}:
 
 import pytest
 
-from repro.experiments.chaos import DROP_RATES, chaos_matrix, make_cases
+from repro.experiments.chaos import DROP_RATES, chaos_matrix
 
 PROTOCOLS = ("broadcast", "convergecast", "dfs", "mst_ghs", "mst_fast",
              "global_fn(slt)")
@@ -23,7 +23,7 @@ PROTOCOLS = ("broadcast", "convergecast", "dfs", "mst_ghs", "mst_fast",
 
 @pytest.fixture(scope="module")
 def matrix():
-    return chaos_matrix(make_cases())
+    return chaos_matrix()
 
 
 def test_matrix_covers_all_protocols_and_rates(matrix):
@@ -107,10 +107,8 @@ def test_matrix_is_deterministic():
             for e in rows
         ]
 
-    cases = make_cases(n=10, extra_edges=12, graph_seed=4)
-    first = summarize(chaos_matrix(cases, drop_rates=(0.0, 0.2)))
-    cases = make_cases(n=10, extra_edges=12, graph_seed=4)
-    second = summarize(chaos_matrix(cases, drop_rates=(0.0, 0.2)))
+    first = summarize(chaos_matrix(10, 12, 4, drop_rates=(0.0, 0.2)))
+    second = summarize(chaos_matrix(10, 12, 4, drop_rates=(0.0, 0.2)))
     assert first == second
 
 

@@ -6,9 +6,8 @@ The whole experiment layer rests on runs being pure functions of
 * every chaos-matrix protocol, run twice from scratch with the same
   inputs, produces a byte-identical metrics fingerprint (costs, counts,
   per-tag buckets, fault counters, status, answer);
-* the parallel sweep engine returns the exact rows of the serial path
-  (and of the legacy in-process ``chaos_matrix``), regardless of worker
-  count;
+* the parallel sweep engine returns the exact rows of the serial path,
+  regardless of worker count;
 * the EventQueue fires a randomized interleaving of schedule calls in
   the identical order on replay.
 """
@@ -17,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.chaos import chaos_matrix, make_cases
-from repro.experiments.parallel import chaos_rows, summarize_chaos_entry
+from repro.experiments.chaos import make_cases
+from repro.experiments.parallel import chaos_rows
 from repro.faults import FaultPlan, run_chaos
 from repro.sim.events import EventQueue
 
@@ -61,16 +60,6 @@ def test_serial_and_parallel_sweeps_merge_identically():
     serial = chaos_rows(jobs=1, **kw)
     parallel = chaos_rows(jobs=2, **kw)
     assert serial == parallel
-
-
-def test_engine_rows_match_legacy_chaos_matrix():
-    legacy = [
-        summarize_chaos_entry(e)
-        for e in chaos_matrix(make_cases(10, 12, 4), drop_rates=(0.0, 0.2))
-    ]
-    engine = chaos_rows(jobs=1, n=10, extra_edges=12, graph_seed=4,
-                        drop_rates=(0.0, 0.2))
-    assert legacy == engine
 
 
 def test_parallel_sweep_covers_all_protocols_and_rates():

@@ -4,8 +4,9 @@ import pickle
 
 import pytest
 
+from repro.experiments.chaos import RunSpec
+from repro.faults import CrashWindow, FaultPlan
 from repro.experiments.parallel import (
-    ChaosCell,
     cell_seed,
     chaos_cells,
     chaos_rows,
@@ -147,6 +148,21 @@ def test_chaos_cells_enumerate_matrix_in_row_order():
     assert all(c.drop > 0 for c in cells if not c.reliable)
 
 
+def test_chaos_cells_map_drop_to_plan_and_trace_to_limit():
+    cells = chaos_cells(n=10, extra_edges=12, graph_seed=4,
+                        drop_rates=(0.0, 0.2), fault_seed=5,
+                        protocols=("dfs",), trace=True, race_detect=True)
+    assert [(c.plan, c.drop, c.reliable) for c in cells] == [
+        (None, 0.0, True),
+        (FaultPlan.message_loss(0.2, seed=5), 0.2, True),
+        (FaultPlan.message_loss(0.2, seed=5), 0.2, False),
+    ]
+    assert all(c.limit == 0 and c.trace and c.race for c in cells)
+    untraced = chaos_cells(n=10, extra_edges=12, graph_seed=4,
+                           drop_rates=(0.2,), protocols=("dfs",))
+    assert all(c.limit is None and not c.trace for c in untraced)
+
+
 def test_chaos_cells_respect_include_raw_flag():
     cells = chaos_cells(n=10, extra_edges=12, graph_seed=4,
                         drop_rates=(0.0, 0.2), include_raw=False)
@@ -155,13 +171,16 @@ def test_chaos_cells_respect_include_raw_flag():
 
 
 def test_chaos_cell_is_picklable_and_hashable():
-    cell = ChaosCell(10, 12, 4, "broadcast", 0.2, True, 7)
+    plan = FaultPlan(drop=0.2, seed=7, edges=[(1, 0)],
+                     crashes=(CrashWindow(3, 1.0, 4.0),))
+    cell = RunSpec("broadcast", 10, 12, 4, plan=plan)
     assert pickle.loads(pickle.dumps(cell)) == cell
-    assert len({cell, ChaosCell(10, 12, 4, "broadcast", 0.2, True, 7)}) == 1
+    twin = RunSpec("broadcast", 10, 12, 4, plan=FaultPlan.from_dict(plan.to_dict()))
+    assert len({cell, twin}) == 1
 
 
 def test_run_chaos_cell_returns_flat_picklable_row():
-    cell = ChaosCell(10, 12, 4, "broadcast", 0.0, True, 7)
+    cell = RunSpec("broadcast", 10, 12, 4)
     row = run_chaos_cell(cell)
     pickle.dumps(row)  # must survive a process boundary
     assert row["protocol"] == "broadcast"

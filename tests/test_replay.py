@@ -1,15 +1,16 @@
 """Replay engine: byte-identity, divergence localization, golden corpus."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.experiments.chaos import RunSpec
+from repro.faults import CrashWindow, FaultPlan
 from repro.obs import TraceRecorder, load_jsonl, to_jsonl
 from repro.replay import (
     ReplayError,
-    ReplaySpec,
     bisect_divergence,
     check_golden,
     first_divergence,
@@ -23,8 +24,8 @@ from repro.replay import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "fixtures" / "golden"
 
-SPEC = ReplaySpec(protocol="broadcast", n=10, extra_edges=10, graph_seed=2,
-                  plan=FaultPlan(drop=0.2, seed=9))
+SPEC = RunSpec(protocol="broadcast", n=10, extra_edges=10, graph_seed=2,
+               plan=FaultPlan(drop=0.2, seed=9))
 
 
 # --------------------------------------------------------------------- #
@@ -41,11 +42,8 @@ def test_record_replay_byte_identity():
 def test_replay_header_round_trips_the_spec():
     run = record_run(SPEC)
     trace = load_jsonl(run.text)
-    spec = spec_of(trace)
-    assert spec.protocol == SPEC.protocol
-    assert spec.seed == SPEC.seed
-    assert spec.plan.to_dict() == SPEC.plan.to_dict()
-    assert spec.graph_fp  # stamped at record time
+    assert spec_of(trace) == SPEC
+    assert trace.meta["replay"]["graph_fp"]  # stamped at record time
 
 
 def test_replay_without_header_refuses():
@@ -57,8 +55,40 @@ def test_replay_without_header_refuses():
 
 
 def test_unknown_protocol_refuses():
-    with pytest.raises(ReplayError, match="unknown protocol"):
-        record_run(ReplaySpec(protocol="nonesuch", n=8, extra_edges=6))
+    with pytest.raises(ValueError, match="unknown protocol"):
+        RunSpec(protocol="nonesuch", n=8, extra_edges=6)
+
+
+def test_crash_order_records_the_run_it_replays():
+    # Two windows opening at the same instant, given out of canonical
+    # order: the recorded run and its header must name the same schedule.
+    plan = FaultPlan(crashes=(CrashWindow(5, 2.0, 8.0),
+                              CrashWindow(3, 2.0, 8.0)), seed=4)
+    run = record_run(RunSpec(protocol="dfs", n=10, extra_edges=10, plan=plan))
+    report = verify_trace(load_jsonl(run.text))
+    assert report.ok, report.describe()
+
+
+def _tampered(**changes):
+    lines = record_run(SPEC).text.splitlines()
+    meta = json.loads(lines[0])
+    meta["replay"].update(changes)
+    lines[0] = json.dumps(meta, sort_keys=True)
+    return load_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("changes", [
+    {"n": 10.5},
+    {"reliable": "false"},
+    {"limit": "5"},
+    {"race": 1},
+    {"protocol": "nonesuch"},
+    {"plan": {"drop": 2.0}},
+    {"bogus": 1},
+], ids=repr)
+def test_tampered_header_refuses(changes):
+    with pytest.raises(ReplayError, match="invalid replay header"):
+        spec_of(_tampered(**changes))
 
 
 def test_fingerprint_mismatch_refuses():
@@ -75,8 +105,8 @@ def test_fingerprint_mismatch_refuses():
 def test_gamma_w_records_and_replays():
     # The synchronizer stack (normalized graph, in-synch transform, gamma
     # clusters) under the same byte-identity contract as flat protocols.
-    spec = ReplaySpec(protocol="gamma_w(max)", n=8, extra_edges=6,
-                      graph_seed=3)
+    spec = RunSpec(protocol="gamma_w(max)", n=8, extra_edges=6,
+                   graph_seed=3)
     run = record_run(spec)
     assert run.outcome.status == "ok"
     report = verify_trace(load_jsonl(run.text))
@@ -89,10 +119,8 @@ def test_gamma_w_records_and_replays():
 
 def test_perturbed_plan_seed_yields_localized_divergence():
     base = record_run(SPEC)
-    perturbed = record_run(ReplaySpec(
-        protocol=SPEC.protocol, n=SPEC.n, extra_edges=SPEC.extra_edges,
-        graph_seed=SPEC.graph_seed,
-        plan=SPEC.plan.replace(seed=SPEC.plan.seed + 1)))
+    perturbed = record_run(dataclasses.replace(
+        SPEC, plan=SPEC.plan.replace(seed=SPEC.plan.seed + 1)))
     div = first_divergence(base.text, perturbed.text)
     assert div is not None
     assert div.index >= 0
@@ -106,9 +134,8 @@ def test_perturbed_plan_seed_yields_localized_divergence():
 
 def test_divergent_deliver_resolves_its_send():
     base = record_run(SPEC)
-    perturbed = record_run(ReplaySpec(
-        protocol=SPEC.protocol, n=SPEC.n, extra_edges=SPEC.extra_edges,
-        graph_seed=SPEC.graph_seed, plan=SPEC.plan.replace(drop=0.35)))
+    perturbed = record_run(dataclasses.replace(
+        SPEC, plan=SPEC.plan.replace(drop=0.35)))
     div = first_divergence(base.text, perturbed.text)
     assert div is not None
     # At least one side of the first divergence is send-linked.
@@ -123,10 +150,10 @@ def test_identical_traces_have_no_divergence():
 
 
 def test_aggregate_only_divergence_reports_meta():
-    spec0 = ReplaySpec(protocol="broadcast", n=10, extra_edges=10,
-                       plan=FaultPlan(drop=0.2, seed=9), limit=0)
-    spec1 = ReplaySpec(protocol="broadcast", n=10, extra_edges=10,
-                       plan=FaultPlan(drop=0.2, seed=10), limit=0)
+    spec0 = RunSpec(protocol="broadcast", n=10, extra_edges=10,
+                    plan=FaultPlan(drop=0.2, seed=9), limit=0)
+    spec1 = RunSpec(protocol="broadcast", n=10, extra_edges=10,
+                    plan=FaultPlan(drop=0.2, seed=10), limit=0)
     div = first_divergence(record_run(spec0).text, record_run(spec1).text)
     assert div is not None and div.index == -1
     assert "meta headers differ" in div.describe()
@@ -139,7 +166,7 @@ def test_bisect_finds_first_divergent_knob():
         # Knob semantics: plan seed flips at x == 3.
         if x not in texts:
             plan = FaultPlan(drop=0.2, seed=9 if x < 3 else 77)
-            texts[x] = record_run(ReplaySpec(
+            texts[x] = record_run(RunSpec(
                 protocol="broadcast", n=10, extra_edges=10,
                 plan=plan)).text
         return texts[x]

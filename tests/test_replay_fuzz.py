@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.chaos import RunSpec
 from repro.faults import CrashWindow, FaultPlan
 from repro.graphs import random_connected_graph
 from repro.replay.fuzz import (
-    FuzzCell,
     ddmin,
     evaluate_cell,
     fuzz,
@@ -30,7 +30,7 @@ KW = dict(n=8, extra_edges=6, graph_seed=3)
 
 def _cell(plan, protocol="broadcast", **overrides):
     kw = {**KW, **overrides}
-    return FuzzCell(protocol=protocol, plan_json=plan_key(plan), **kw)
+    return RunSpec(protocol=protocol, plan=plan, limit=0, race=True, **kw)
 
 
 # --------------------------------------------------------------------- #

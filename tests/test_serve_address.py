@@ -140,6 +140,33 @@ def test_malformed_requests_raise_request_error(bad):
         canonical_request(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    {"kind": "chaos", "protocol": "nonesuch"},
+    {"kind": "trace", "protocol": "nonesuch"},
+    {"kind": "sweep", "protocols": ["nonesuch"]},
+], ids=lambda r: r["kind"])
+def test_unknown_protocol_is_request_error(bad):
+    # Refused at canonicalization, never an execution failure.
+    with pytest.raises(RequestError, match="nonesuch"):
+        canonical_request(bad)
+
+
+def test_trace_canonical_form_is_the_run_spec_dict():
+    from repro.experiments.chaos import RunSpec
+    from repro.faults import CrashWindow, FaultPlan
+
+    request = {"kind": "trace", "protocol": "dfs", "n": 10.0, "seed": 4,
+               "plan": {"drop": 0.2, "seed": 9,
+                        "crashes": [{"node": 5, "start": 2.0, "end": 8.0},
+                                    {"node": 3, "start": 2.0, "end": 8.0}]},
+               "backend": "python"}
+    spec = RunSpec("dfs", 10, seed=4, plan=FaultPlan(
+        drop=0.2, seed=9,
+        crashes=(CrashWindow(5, 2.0, 8.0), CrashWindow(3, 2.0, 8.0))))
+    assert canonical_request(request) == {"kind": "trace", **spec.to_dict(),
+                                          "backend": "python"}
+
+
 # --------------------------------------------------------------------- #
 # Pinned literals: the addressing scheme itself is a regression surface
 # --------------------------------------------------------------------- #

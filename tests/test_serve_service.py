@@ -13,7 +13,11 @@ The acceptance bar this file pins:
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -125,14 +129,42 @@ def test_stats_block_shape(client):
 # Failure surface: ServeError, never a crash; waiters see it too
 # --------------------------------------------------------------------- #
 
-def test_execution_failure_is_serve_error_for_all_waiters(client):
-    bad = {"kind": "chaos", "protocol": "no_such_protocol", "n": 8,
-           "extra_edges": 6, "backend": "python"}
-    with pytest.raises(ServeError):
-        client.request(bad)
+def test_execution_failure_is_serve_error_for_all_waiters(client, monkeypatch):
+    import repro.serve.service as service_mod
+
+    def fail(canon, jobs=None):
+        raise RuntimeError("engine failure")
+
+    monkeypatch.setattr(service_mod, "execute_request", fail)
+    with pytest.raises(ServeError, match="engine failure"):
+        client.request(REQUESTS["chaos"])
     stats = client.stats()
     assert stats["errors"] == 1
     assert stats["store"]["entries"] == 0  # failures are never cached
+
+
+_GAMMA_W_FIRST = """
+from repro.serve import ServeClient
+
+with ServeClient() as client:
+    response = client.request({"kind": "chaos", "protocol": "gamma_w(max)",
+                               "n": 8, "extra_edges": 6, "graph_seed": 3})
+    print(response["payload"]["status"], client.stats()["errors"])
+"""
+
+
+def test_gamma_w_request_is_served_in_a_fresh_interpreter():
+    # The case registry is static: a gamma_w(max) request succeeds as the
+    # first request of a process, whatever that process imported before.
+    # (This process has imported everything, hence the subprocess.)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _GAMMA_W_FIRST],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok", "0"]
 
 
 def test_capacity_admission_rejects_cleanly(tmp_path, monkeypatch):
