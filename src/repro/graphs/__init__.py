@@ -15,7 +15,6 @@ from .csr import (
     edges_to_flat,
     flat_of,
     flat_source_stats,
-    flat_sssp_dist,
     flat_stripe_stats,
     sssp_maps,
 )
@@ -58,13 +57,9 @@ from .npkernels import (
     backend_info,
     kernel_backend,
     np_all_sources_scan,
-    np_delay_propagation,
     np_flat_of,
     np_flat_source_stats,
     np_graph_of,
-    np_kruskal_mst,
-    np_prim_mst,
-    np_sssp_dist,
     numpy_available,
     set_kernel_backend,
 )
@@ -152,15 +147,10 @@ __all__ = [
     "NPGraph",
     "np_graph_of",
     "np_all_sources_scan",
-    "np_sssp_dist",
-    "np_delay_propagation",
-    "np_prim_mst",
-    "np_kruskal_mst",
     # flat snapshots + zero-copy shared-memory transport
     "FlatGraph",
     "edges_to_flat",
     "flat_of",
-    "flat_sssp_dist",
     "flat_source_stats",
     "flat_stripe_stats",
     "lower_bound_flat",

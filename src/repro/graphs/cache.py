@@ -8,7 +8,7 @@ that dominated sweep wall time.  :class:`GraphParamCache` memoizes them
 per :class:`~repro.graphs.weighted_graph.WeightedGraph` instance and
 invalidates automatically when the graph mutates.
 
-Since PR 3 the cache also owns the graph's flat-array snapshot
+The cache also owns the graph's flat-array snapshot
 (:class:`~repro.graphs.csr.CSRGraph`, built once per graph version) and
 computes every parameter through the CSR kernels instead of the
 dict-of-dicts algorithms: per-source shortest paths via
@@ -20,15 +20,17 @@ so every answer — including dict insertion order, MST edge order, and
 float rounding — is byte-identical to what the dict algorithms return
 (``tests/test_csr_kernels.py`` pins this).
 
-Since PR 7 the whole-graph kernels (the batched scan and Prim) dispatch
-on :func:`~repro.graphs.npkernels.kernel_backend`: under the ``numpy``
-backend they run the vectorized kernels against a memoized
+The batched scan dispatches on
+:func:`~repro.graphs.npkernels.kernel_backend`: under the ``numpy``
+backend it runs the vectorized scan against a memoized
 :class:`~repro.graphs.npkernels.NPGraph` mirror of the CSR snapshot,
 which is value-identical by the same contract
 (``tests/test_npkernels_differential.py`` pins it) and wiped by the same
-version check.  Per-source :func:`~repro.graphs.csr.sssp_maps` stays on
-the Python kernel under every backend — its parent/discovery-order dict
-views are inherently sequential.
+version check.  Per-source :func:`~repro.graphs.csr.sssp_maps` and the
+MST stay on the Python kernels under every backend — the dict views'
+parent/discovery order and Prim's one-vertex-per-step growth are
+inherently sequential, so the ``numpy`` backend never builds an
+``NPGraph`` for them.
 
 Invalidation contract (see docs/PERF.md):
 
@@ -64,12 +66,7 @@ from .csr import (
     flat_of,
     sssp_maps,
 )
-from .npkernels import (
-    NPGraph,
-    kernel_backend,
-    np_all_sources_scan,
-    np_prim_mst,
-)
+from .npkernels import NPGraph, kernel_backend, np_all_sources_scan
 from .weighted_graph import Vertex, WeightedGraph
 
 if TYPE_CHECKING:  # runtime import is deferred: params imports this module
@@ -243,10 +240,7 @@ class GraphParamCache:
             self.hits += 1
             return self._mst
         self.misses += 1
-        if kernel_backend() == "numpy":
-            self._mst = np_prim_mst(self.npg())
-        else:
-            self._mst = csr_prim_mst(self.csr())
+        self._mst = csr_prim_mst(self.csr())
         return self._mst
 
     def mst_weight(self) -> float:

@@ -61,7 +61,6 @@ __all__ = [
     "FlatGraph",
     "edges_to_flat",
     "flat_of",
-    "flat_sssp_dist",
     "flat_source_stats",
     "flat_stripe_stats",
 ]
@@ -724,38 +723,6 @@ def flat_of(csr: CSRGraph, spec: tuple[Any, ...] | None = None) -> FlatGraph:
         spec=spec,
         version=csr.version,
     )
-
-
-def flat_sssp_dist(flat: FlatGraph, source: int) -> array[float]:
-    """Heap Dijkstra over the flat buffers; float64 distances, inf unreached.
-
-    Value-identical to :func:`sssp_maps` distances (same left-to-right
-    IEEE sums) and bit-identical to the numpy frontier relaxation
-    (``np_flat_source_stats``) under the least-fixpoint argument of
-    :mod:`repro.graphs.npkernels`.
-    """
-    n = flat.n
-    if not 0 <= source < n:
-        raise IndexError(f"source index {source} out of range 0..{n - 1}")
-    indptr = flat.indptr
-    indices = flat.indices
-    weights = flat.weights
-    push = heapq.heappush
-    pop = heapq.heappop
-    dist = [_INF] * n
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        for j in range(indptr[u], indptr[u + 1]):
-            v = indices[j]
-            nd = d + weights[j]
-            if nd < dist[v]:
-                dist[v] = nd
-                push(heap, (nd, v))
-    return array("d", dist)
 
 
 def flat_source_stats(flat: FlatGraph, lo: int, hi: int) -> dict[str, Any]:

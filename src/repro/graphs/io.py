@@ -59,7 +59,13 @@ def dump_graph(graph: WeightedGraph, path: str | Path) -> None:
 
 
 def loads_graph(text: str) -> WeightedGraph:
-    """Parse the text format back into a graph."""
+    """Parse the text format back into a graph.
+
+    Raises ``ValueError`` naming the line of any record it cannot parse,
+    including an edge whose weight is not a number or that
+    :meth:`WeightedGraph.add_edge` refuses (a self-loop, or a weight
+    that is not positive and finite).
+    """
     g = WeightedGraph()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -69,10 +75,13 @@ def loads_graph(text: str) -> WeightedGraph:
         if parts[0] == "v" and len(parts) == 2:
             g.add_vertex(_parse_vertex(parts[1]))
         elif parts[0] == "e" and len(parts) == 4:
-            g.add_edge(
-                _parse_vertex(parts[1]), _parse_vertex(parts[2]),
-                float(parts[3]),
-            )
+            try:
+                g.add_edge(
+                    _parse_vertex(parts[1]), _parse_vertex(parts[2]),
+                    float(parts[3]),
+                )
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
         else:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
     return g

@@ -1,4 +1,4 @@
-"""Minimum spanning trees (array-kernel fast path + dict reference).
+"""Minimum spanning trees (CSR kernels + dict reference).
 
 Used as (a) the preprocessing step of the SLT algorithm (Section 2.2),
 (b) the definition of the paper's script-V parameter ``V = w(MST(G))``
@@ -6,15 +6,14 @@ Used as (a) the preprocessing step of the SLT algorithm (Section 2.2),
 protocols of Section 8.
 
 The public entry points (:func:`prim_mst`, :func:`kruskal_mst`,
-:func:`minimum_spanning_tree`) route through the flat-array kernels in
-:mod:`repro.graphs.csr` (CSR snapshot memoized per graph version via
-:mod:`repro.graphs.cache`), or — when
-:func:`repro.graphs.npkernels.kernel_backend` resolves to ``numpy`` —
-through the vectorized kernels in :mod:`repro.graphs.npkernels`; the
-output is byte-identical either way, including under the original
-dict-of-dicts algorithms kept here as :func:`prim_mst_dicts` /
-:func:`kruskal_mst_dicts` — the independent reference implementations
-the golden and differential tests compare every kernel against.
+:func:`minimum_spanning_tree`) run the flat-array kernels in
+:mod:`repro.graphs.csr` on the CSR snapshot memoized per graph version
+by :mod:`repro.graphs.cache`, under every kernel backend: Prim grows
+the tree one vertex per step, which array code cannot batch.  The
+output is byte-identical to the original dict-of-dicts algorithms kept
+here as :func:`prim_mst_dicts` / :func:`kruskal_mst_dicts` — the
+independent reference implementations the golden and differential
+tests compare the kernels against.
 """
 
 from __future__ import annotations
@@ -78,16 +77,11 @@ def prim_mst(graph: WeightedGraph, root: Vertex | None = None) -> WeightedGraph:
     """
     from .cache import param_cache
     from .csr import csr_prim_mst
-    from .npkernels import kernel_backend, np_prim_mst
 
     if graph.num_vertices == 0:
         return WeightedGraph()
-    cache = param_cache(graph)
-    csr = cache.csr()
-    r = csr.index[root] if root is not None else 0
-    if kernel_backend() == "numpy":
-        return np_prim_mst(cache.npg(), r)
-    return csr_prim_mst(csr, r)
+    csr = param_cache(graph).csr()
+    return csr_prim_mst(csr, csr.index[root] if root is not None else 0)
 
 
 def kruskal_mst(graph: WeightedGraph) -> WeightedGraph:
@@ -98,12 +92,8 @@ def kruskal_mst(graph: WeightedGraph) -> WeightedGraph:
     """
     from .cache import param_cache
     from .csr import csr_kruskal_mst
-    from .npkernels import kernel_backend, np_kruskal_mst
 
-    cache = param_cache(graph)
-    if kernel_backend() == "numpy":
-        return np_kruskal_mst(cache.npg())
-    return csr_kruskal_mst(cache.csr())
+    return csr_kruskal_mst(param_cache(graph).csr())
 
 
 def prim_mst_dicts(

@@ -11,15 +11,21 @@ edge sets move per NumPy call, no per-element Python.
 
 Backend contract
 ----------------
-NumPy is an *optional extra*, never a hard dependency.  Which backend the
-public API (``GraphParamCache``, ``prim_mst``, ``kruskal_mst``, the
-``params`` functions) uses is decided by :func:`kernel_backend`:
+NumPy is an *optional extra*, never a hard dependency.  Which kernel the
+whole-graph scans (``GraphParamCache``'s eccentricities, diameter and
+max neighbor distance, hence the ``params`` functions) and the snapshot
+source sweeps run is decided by :func:`kernel_backend`:
 
 * ``REPRO_KERNEL_BACKEND=python`` — always the pure-Python CSR kernels;
 * ``REPRO_KERNEL_BACKEND=numpy`` — the kernels below, falling back to
   ``python`` gracefully when numpy is not importable (no ImportError ever
   escapes);
 * unset / ``auto`` — numpy when available, python otherwise.
+
+Minimum spanning trees are not vectorized: Prim adds one vertex per step
+and Kruskal's union-find admits one edge at a time, so both run the CSR
+kernels (:func:`~repro.graphs.csr.csr_prim_mst`,
+:func:`~repro.graphs.csr.csr_kruskal_mst`) under every backend.
 
 :func:`set_kernel_backend` installs a process-local override (used by the
 pool worker initializer so every worker resolves the same backend the
@@ -28,8 +34,7 @@ parent did, keeping serial == pool byte-identity trivially true).
 Identity contract
 -----------------
 Every kernel here returns *value-identical* results to its pure-Python
-oracle — same floats bit-for-bit, same MST edge sets chosen under the
-same tie-break rule, same exception on disconnected input — pinned by
+oracle — same floats bit-for-bit — pinned by
 ``tests/test_npkernels_differential.py``.  The arguments:
 
 * **Distances.**  Both Dijkstra (heap or Dial) and the frontier
@@ -53,20 +58,6 @@ same tie-break rule, same exception on disconnected input — pinned by
   value-identical to Dial/Dijkstra.  Floyd–Warshall is *never* used for
   float weights: it associates path sums differently than the oracle's
   left-to-right order, which only exact arithmetic makes harmless.
-* **MST tie-breaking.**  ``csr_prim_mst`` pops ``(w, tie)`` keys where
-  ``tie`` counts heap pushes: root adjacency first, then each newly
-  added vertex's adjacency in CSR order.  Among live frontier edges that
-  ordering is exactly lexicographic ``(weight, add-step of the tree
-  endpoint, CSR position)``, which :func:`np_prim_mst` encodes as an
-  integer rank and minimizes with a masked argmin.  ``csr_kruskal_mst``
-  stable-sorts by weight, preserving ``graph.edges()`` order among equal
-  weights — exactly what a stable ``argsort`` over the frozen edge
-  arrays yields.
-
-Tree-building (``WeightedGraph.add_edge``) inserts the *original* weight
-objects out of the CSR snapshot, never ``numpy.float64`` conversions, so
-``total_weight()`` sums are bit-equal to the oracle's, including int
-versus float reprs.
 """
 
 from __future__ import annotations
@@ -91,10 +82,6 @@ __all__ = [
     "np_flat_of",
     "np_flat_source_stats",
     "np_all_sources_scan",
-    "np_sssp_dist",
-    "np_delay_propagation",
-    "np_prim_mst",
-    "np_kruskal_mst",
 ]
 
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
@@ -206,9 +193,7 @@ class NPGraph:
     Holds the CSR arrays as ``ndarray``s plus the derived structures the
     vectorized kernels need: vertex degrees (``deg``), per-position
     source vertex (``edge_u``), and the exact ``int64`` weight view for
-    the integral-weight fast path.  Keeps a reference to the originating
-    ``CSRGraph`` so tree-building kernels can insert the *original*
-    weight objects (bit-identical sums).
+    the integral-weight fast path.
 
     Snapshots are immutable and version-stamped like the CSR they mirror;
     :meth:`repro.graphs.cache.GraphParamCache.npg` memoizes one per graph
@@ -216,13 +201,12 @@ class NPGraph:
     """
 
     __slots__ = (
-        "csr", "n", "m2", "indptr", "indices", "weights", "iweights",
-        "edge_u", "deg", "use_int", "int_bound", "edge_weight_f", "version",
+        "n", "m2", "indptr", "indices", "weights", "iweights",
+        "edge_u", "deg", "use_int", "int_bound", "version",
     )
 
     def __init__(self, csr: CSRGraph) -> None:
         np = _require_numpy()
-        self.csr = csr
         n = csr.n
         self.n = n
         self.indptr = np.asarray(csr.indptr, dtype=np.int64)
@@ -237,7 +221,6 @@ class NPGraph:
         self.iweights = (
             self.weights.astype(np.int64) if self.use_int else None
         )
-        self.edge_weight_f = np.asarray(csr.edge_weight, dtype=np.float64)
         self.version = csr.version
 
     def __repr__(self) -> str:
@@ -536,176 +519,3 @@ def np_all_sources_scan(npg: NPGraph) -> GraphScan:
                 max_nbr = block_max
     diameter = float(ecc.max())
     return GraphScan([float(e) for e in ecc.tolist()], diameter, max_nbr)
-
-
-def np_sssp_dist(npg: NPGraph, source: int) -> list[float]:
-    """Distances from one dense source index (``inf`` where unreachable).
-
-    Value-identical to the ``dist`` side of
-    :func:`repro.graphs.csr.sssp_maps` (which additionally reports
-    parents and discovery order — those are inherently sequential and
-    stay on the Python kernel under every backend).
-    """
-    np = _require_numpy()
-    if not 0 <= source < npg.n:
-        raise IndexError(f"source index {source} out of range 0..{npg.n - 1}")
-    row = _dist_rows(npg, source, source + 1)[0]
-    if npg.use_int:
-        out = row.astype(np.float64)
-        out[row >= npg.int_bound] = np.inf
-        return [float(x) for x in out.tolist()]
-    return [float(x) for x in row.tolist()]
-
-
-def np_delay_propagation(
-    npg: NPGraph, source: int, delays: Any = None
-) -> list[float]:
-    """Earliest flood/pulse arrival times under per-edge delays.
-
-    The paper's delay model lets each directed traversal of ``e`` take
-    any delay in ``[0, w(e)]``; a flood started at ``source`` delivers to
-    ``v`` at ``min`` over in-edges of ``arrival[u] + delay(u -> v)``.
-    ``delays`` is an array aligned with the directed CSR positions
-    (``delays[j]`` is the delay of the edge stored at position ``j``);
-    ``None`` means the worst case ``delays = weights``, which makes this
-    exactly single-source shortest paths.
-
-    Asymmetric delays need no reverse lookup: :func:`_relax` pushes
-    along out-edges, so the delay at position ``j`` is exactly the one
-    of the edge it expands, ``edge_u[j] -> indices[j]``.
-    """
-    np = _require_numpy()
-    n = npg.n
-    if not 0 <= source < n:
-        raise IndexError(f"source index {source} out of range 0..{n - 1}")
-    if delays is None:
-        return np_sssp_dist(npg, source)
-    delays = np.asarray(delays, dtype=np.float64)
-    if delays.shape != (npg.m2,):
-        raise ValueError(
-            f"delays must have one entry per directed CSR position "
-            f"({npg.m2}), got shape {delays.shape}"
-        )
-    if bool(np.isnan(delays).any()):
-        raise ValueError("delays must not be NaN")
-    if bool((delays < 0).any()):
-        raise ValueError("delays must be non-negative")
-    arrival = np.full(n, np.inf, dtype=np.float64)
-    arrival[source] = 0.0
-    _relax(npg, arrival, np.array([source]), delays)
-    return [float(x) for x in arrival.tolist()]
-
-
-# --------------------------------------------------------------------- #
-# Minimum spanning trees
-# --------------------------------------------------------------------- #
-
-
-def np_prim_mst(npg: NPGraph, root: int = 0) -> WeightedGraph:
-    """Array Prim; byte-identical to :func:`~repro.graphs.csr.csr_prim_mst`.
-
-    Maintains, per non-tree vertex, the best frontier edge keyed by
-    ``(weight, rank)`` where ``rank = add_step * 2m + CSR position``
-    replays the heap push counter's ordering exactly (see the module
-    docstring).  Each step is two vectorized passes — a masked update of
-    the frontier arrays over the new vertex's adjacency, and a masked
-    argmin to select the next tree edge — so the per-step work is one
-    adjacency row plus O(n) array ops, with no per-edge Python.
-
-    Raises ``ValueError`` on a disconnected graph, like every oracle.
-    """
-    np = _require_numpy()
-    n = npg.n
-    if n == 0:
-        return WeightedGraph()
-    csr = npg.csr
-    verts = csr.verts
-    raw_weights = csr.weights  # original weight objects for add_edge
-    indptr = npg.indptr
-    indices = npg.indices
-    weights = npg.weights
-    edge_u = npg.edge_u
-    m2 = max(npg.m2, 1)
-    int64_max = np.iinfo(np.int64).max
-    best_w = np.full(n, np.inf, dtype=np.float64)
-    best_rank = np.full(n, int64_max, dtype=np.int64)
-    best_pos = np.full(n, -1, dtype=np.int64)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[root] = True
-    tree = WeightedGraph(vertices=[verts[root]])
-    add_edge = tree.add_edge
-    u = root
-    step = 0
-    for _ in range(n - 1):
-        a, b = int(indptr[u]), int(indptr[u + 1])
-        if b > a:
-            nbrs = indices[a:b]
-            ws = weights[a:b]
-            pos = np.arange(a, b, dtype=np.int64)
-            # Strict < : an equal-weight edge pushed later loses the tie,
-            # exactly as the heap's monotone push counter decides it.
-            improves = ~in_tree[nbrs] & (ws < best_w[nbrs])
-            if bool(improves.any()):
-                target = nbrs[improves]
-                best_w[target] = ws[improves]
-                best_rank[target] = step * m2 + pos[improves]
-                best_pos[target] = pos[improves]
-        step += 1
-        frontier_w = np.where(in_tree, np.inf, best_w)
-        w_min = frontier_w.min()
-        if not w_min < np.inf:
-            raise ValueError("graph is not connected; MST undefined")
-        tie_rank = np.where(frontier_w == w_min, best_rank, int64_max)
-        v = int(tie_rank.argmin())
-        j = int(best_pos[v])
-        add_edge(verts[int(edge_u[j])], verts[v], raw_weights[j])
-        in_tree[v] = True
-        u = v
-    return tree
-
-
-def np_kruskal_mst(npg: NPGraph) -> WeightedGraph:
-    """Kruskal via stable argsort; byte-identical to the CSR/dict oracles.
-
-    A stable ``argsort`` over the frozen edge-weight array yields exactly
-    the order Python's stable ``sorted(..., key=weight)`` visits —
-    ``graph.edges()`` order among equal weights, which *is* the pinned
-    tie-break rule.  The union-find admission pass stays a sequential
-    loop (each union depends on every prior one — that data dependence,
-    not the implementation, is what fixes the admitted edge set), run
-    over plain int lists with path halving.
-    """
-    np = _require_numpy()
-    csr = npg.csr
-    n = npg.n
-    verts = csr.verts
-    es = csr.edge_src
-    ed = csr.edge_dst
-    ew = csr.edge_weight
-    tree = WeightedGraph(vertices=verts)
-    add_edge = tree.add_edge
-    order = np.argsort(npg.edge_weight_f, kind="stable").tolist()
-    parent = list(range(n))
-    rank = [0] * n
-    added = 0
-    for j in order:
-        ru = es[j]
-        while parent[ru] != ru:
-            parent[ru] = parent[parent[ru]]
-            ru = parent[ru]
-        rv = ed[j]
-        while parent[rv] != rv:
-            parent[rv] = parent[parent[rv]]
-            rv = parent[rv]
-        if ru == rv:
-            continue
-        if rank[ru] < rank[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        if rank[ru] == rank[rv]:
-            rank[ru] += 1
-        add_edge(verts[es[j]], verts[ed[j]], ew[j])
-        added += 1
-    if added != n - 1 and n > 0:
-        raise ValueError("graph is not connected; MST undefined")
-    return tree

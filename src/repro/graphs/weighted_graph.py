@@ -20,6 +20,8 @@ Edge = tuple[Vertex, Vertex]
 
 __all__ = ["Vertex", "Edge", "WeightedGraph", "edge_key"]
 
+_INF = float("inf")
+
 
 def edge_key(u: Vertex, v: Vertex) -> Edge:
     """Return a canonical (order-independent) key for the undirected edge (u, v).
@@ -83,13 +85,16 @@ class WeightedGraph:
     def add_edge(self, u: Vertex, v: Vertex, weight: float) -> None:
         """Add (or overwrite) the undirected edge (u, v) with the given weight.
 
-        Weights must be strictly positive: a zero-cost edge would break both
-        the cost model and the delay model (``w(e)`` bounds the delay).
+        Weights must be strictly positive and finite: a zero-cost edge would
+        break both the cost model and the delay model (``w(e)`` bounds the
+        delay), and an infinite one has no cost to charge.
         """
         if u == v:
             raise ValueError(f"self-loop at {u!r} is not allowed")
-        if not weight > 0:  # also rejects NaN, which fails every comparison
-            raise ValueError(f"edge weight must be positive, got {weight!r}")
+        if not 0 < weight < _INF:  # also rejects NaN, which fails every comparison
+            raise ValueError(
+                f"edge weight must be positive and finite, got {weight!r}"
+            )
         self._adj.setdefault(u, {})[v] = weight
         self._adj.setdefault(v, {})[u] = weight
         self._version += 1

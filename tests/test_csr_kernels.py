@@ -9,8 +9,7 @@ binary-heap scan fallback), trees, and multi-component graphs.
 
 The whole module runs once per kernel backend (``each_backend``): the
 public entry points (``prim_mst``, ``kruskal_mst``, the cache) must pin
-the same golden values whether they dispatch to the pure-Python CSR
-kernels or the NumPy backend.
+the same golden values under either backend.
 """
 
 import math

@@ -9,18 +9,20 @@ Three contracts pinned here:
    snapshotting it to CSR, and converting (``flat_of``).  This is what
    lets the big bench tier skip the dict representation entirely at
    n = 10^6 without changing a single byte of any answer.
-2. **Kernel identity**: ``flat_sssp_dist`` matches the ``sssp_maps``
-   oracle; ``flat_source_stats`` (heap Dijkstra) and
-   ``np_flat_source_stats`` (frontier relaxation) return *equal dicts* —
-   including the sha256 digest over the float64 distance bytes, the
-   kernel identity contract extended to the flat snapshot path.
+2. **Kernel identity**: ``flat_source_stats`` hashes the distance rows
+   of the ``sssp_maps`` oracle; it and ``np_flat_source_stats``
+   (frontier relaxation) return *equal dicts* — including the sha256
+   digest over the float64 distance bytes, the kernel identity contract
+   extended to the flat snapshot path.
 3. **Fingerprint stability**: pinned hex literals, so an accidental
    change to buffer layout, interning order, or hashing shows up as a
    test diff rather than a silently incompatible shared-memory key.
 """
 
+import hashlib
 import math
 import random
+from array import array
 
 import pytest
 
@@ -37,7 +39,7 @@ from repro.graphs import (
     random_connected_graph,
     sssp_maps,
 )
-from repro.graphs.csr import flat_source_stats, flat_sssp_dist, flat_stripe_stats
+from repro.graphs.csr import flat_source_stats, flat_stripe_stats
 from repro.graphs.npkernels import np_flat_source_stats, numpy_available
 
 
@@ -125,8 +127,6 @@ def test_fingerprints_pinned():
 
 
 def test_edges_to_flat_rejects_bad_lengths():
-    from array import array
-
     with pytest.raises(ValueError):
         edges_to_flat(3, array("q", [0]), array("q", [1, 2]),
                       array("d", [1.0]), integral=True, wmax=1.0)
@@ -137,16 +137,17 @@ def test_edges_to_flat_rejects_bad_lengths():
 # --------------------------------------------------------------------- #
 
 
-def test_flat_sssp_dist_matches_sssp_maps_oracle():
+def test_flat_source_stats_matches_sssp_maps_oracle():
     g = random_connected_graph(40, 90, seed=11)
     csr = csr_of(g)
     flat = flat_of(csr)
     for source_idx in (0, 7, 39):
-        dist = flat_sssp_dist(flat, source_idx)
         oracle, _ = sssp_maps(csr, csr.verts[source_idx])
-        for idx, v in enumerate(csr.verts):
-            expect = oracle.get(v, math.inf)
-            assert dist[idx] == expect
+        row = array("d", [oracle.get(v, math.inf) for v in csr.verts])
+        stats = flat_source_stats(flat, source_idx, source_idx + 1)
+        assert stats["digest"] == hashlib.sha256(row).hexdigest()[:16]
+        assert stats["ecc_max"] == max(row)
+        assert stats["reach_min"] == len(oracle)
 
 
 def _fractional_flat(n: int, seed: int) -> FlatGraph:

@@ -63,6 +63,13 @@ def test_load_rejects_garbage():
         loads_graph("x 1 2 3\n")
 
 
+@pytest.mark.parametrize("weight", ["inf", "nan", "0", "-2", "heavy"])
+def test_load_names_the_line_of_a_bad_weight(weight):
+    text = f"# header\ne 0 1 3\ne 1 2 {weight}\n"
+    with pytest.raises(ValueError, match=r"^line 3: "):
+        loads_graph(text)
+
+
 def test_dump_rejects_whitespace_vertices():
     g = WeightedGraph([("a b", "c", 1.0)])
     with pytest.raises(ValueError):

@@ -2,12 +2,13 @@
 
 Every vectorized kernel in :mod:`repro.graphs.npkernels` claims
 *value-identity* with its pure-Python oracle — same floats bit-for-bit,
-same MST edge lists under the pinned tie-break rules, same exceptions.
-This module is the proof: seeded graph families (paths, stars, grids,
-random integral / fractional / mixed-weight graphs, the paper's
-``G_n``/``G_n^i`` lower-bound families, disconnected and edge-case
-graphs) are pushed through both backends and compared exactly — no
-approx, no tolerance.
+same exceptions.  This module is the proof: seeded graph families
+(paths, stars, grids, random integral / fractional / mixed-weight
+graphs, the paper's ``G_n``/``G_n^i`` lower-bound families, disconnected
+and edge-case graphs) are pushed through both backends and compared
+exactly — no approx, no tolerance.  The MST entry points run the CSR
+kernels under every backend; they are checked here, under each backend,
+against the dict oracles, edge list for edge list.
 
 Also pinned here: the backend selector semantics (env var, override,
 graceful no-numpy fallback), numpy-side cache invalidation, the Dial
@@ -15,11 +16,7 @@ bucket-queue cap fallback, and serial == pool chaos-row byte-identity
 under both backends.
 """
 
-import contextlib
-import heapq
-import math
 import random
-import signal
 
 import pytest
 
@@ -31,8 +28,10 @@ from repro.graphs import (
     grid_graph,
     heavy_edge_clock_graph,
     hypercube_graph,
+    kruskal_mst,
     lower_bound_graph,
     lower_bound_split_graph,
+    mst_weight,
     param_cache,
     path_graph,
     prim_mst,
@@ -57,6 +56,10 @@ from repro.graphs.mst import kruskal_mst_dicts, prim_mst_dicts
 requires_numpy = pytest.mark.skipif(
     not npk.numpy_available(), reason="numpy not installed"
 )
+
+# The backends this host can resolve; loops over them keep one test id
+# per family instead of one per (family, backend).
+BACKENDS = ("python", "numpy") if npk.numpy_available() else ("python",)
 
 
 # --------------------------------------------------------------------- #
@@ -138,10 +141,6 @@ def family_graph(request):
     return request.param()
 
 
-def _np_graph(graph: WeightedGraph) -> npk.NPGraph:
-    return npk.NPGraph(CSRGraph(graph))
-
-
 # --------------------------------------------------------------------- #
 # Kernel-by-kernel identity over every family
 # --------------------------------------------------------------------- #
@@ -159,57 +158,61 @@ def test_scan_identical(family_graph):
     assert type(np_scan.max_neighbor_distance) is float
 
 
-@requires_numpy
-def test_prim_identical(family_graph):
-    csr = CSRGraph(family_graph)
-    npg = npk.NPGraph(csr)
-    if family_graph.num_vertices and not family_graph.is_connected():
-        with pytest.raises(ValueError):
-            csr_prim_mst(csr)
-        with pytest.raises(ValueError):
-            npk.np_prim_mst(npg)
-        return
-    if family_graph.num_vertices == 0:
-        assert npk.np_prim_mst(npg).num_vertices == 0
-        return
-    oracle = csr_prim_mst(csr)
-    dicts = prim_mst_dicts(family_graph)
-    got = npk.np_prim_mst(npg)
-    assert list(got.edges()) == list(oracle.edges()) == list(dicts.edges())
-    assert got.vertices == oracle.vertices
-    assert repr(got.total_weight()) == repr(oracle.total_weight())
+def test_prim_identical(family_graph, monkeypatch):
+    g = family_graph
+    roots = [None, g.vertices[-1]] if g.num_vertices else [None]
+    for backend in BACKENDS:
+        monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, backend)
+        for root in roots:
+            if g.num_vertices and not g.is_connected():
+                with pytest.raises(ValueError):
+                    prim_mst(g, root)
+                continue
+            got = prim_mst(g, root)
+            want = prim_mst_dicts(g, root)
+            assert list(got.edges()) == list(want.edges())
+            assert got.vertices == want.vertices
+            assert repr(got.total_weight()) == repr(want.total_weight())
+
+
+def test_kruskal_identical(family_graph, monkeypatch):
+    g = family_graph
+    for backend in BACKENDS:
+        monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, backend)
+        if g.num_vertices and not g.is_connected():
+            with pytest.raises(ValueError):
+                kruskal_mst(g)
+            continue
+        got = kruskal_mst(g)
+        want = kruskal_mst_dicts(g)
+        assert list(got.edges()) == list(want.edges())
+        assert got.vertices == want.vertices
+        assert repr(got.total_weight()) == repr(want.total_weight())
 
 
 @requires_numpy
-def test_kruskal_identical(family_graph):
-    csr = CSRGraph(family_graph)
-    npg = npk.NPGraph(csr)
-    if family_graph.num_vertices and not family_graph.is_connected():
-        with pytest.raises(ValueError):
-            csr_kruskal_mst(csr)
-        with pytest.raises(ValueError):
-            npk.np_kruskal_mst(npg)
-        return
-    oracle = csr_kruskal_mst(csr)
-    got = npk.np_kruskal_mst(npg)
-    assert list(got.edges()) == list(oracle.edges())
-    assert got.vertices == oracle.vertices
-    assert repr(got.total_weight()) == repr(oracle.total_weight())
-    if family_graph.num_vertices:
-        assert list(got.edges()) == list(kruskal_mst_dicts(family_graph).edges())
+def test_msts_never_build_the_numpy_snapshot(monkeypatch):
+    monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, "numpy")
+    g = random_connected_graph(20, 30, seed=9)
+    csr = CSRGraph(g)  # built outside the cache, so it counts no build
+    root = g.vertices[-1]
+    assert list(prim_mst(g).edges()) == list(csr_prim_mst(csr).edges())
+    assert (list(prim_mst(g, root).edges())
+            == list(csr_prim_mst(csr, csr.index[root]).edges()))
+    assert (list(kruskal_mst(g).edges())
+            == list(csr_kruskal_mst(csr).edges()))
+    assert mst_weight(g) == csr_prim_mst(csr).total_weight()
+    assert param_cache(g).np_builds == 0
 
 
 @requires_numpy
 def test_sssp_dist_identical(family_graph):
-    csr = CSRGraph(family_graph)
-    npg = npk.NPGraph(csr)
-    for s in range(min(csr.n, 6)):
-        dist_map, _parent = sssp_maps(csr, csr.verts[s])
-        got = npk.np_sssp_dist(npg, s)
-        want = [dist_map.get(v, math.inf) for v in csr.verts]
-        assert got == want
-        # default delay propagation is exactly SSSP
-        assert npk.np_delay_propagation(npg, s) == want
+    # One source per call relaxes a single row, the `several=False`
+    # branch of `_relax`.
+    flat = flat_of(CSRGraph(family_graph))
+    for s in range(min(flat.n, 6)):
+        assert (npk.np_flat_source_stats(flat, s, s + 1)
+                == flat_source_stats(flat, s, s + 1))
 
 
 @requires_numpy
@@ -227,81 +230,6 @@ def test_block_boundaries_identical(family_graph, monkeypatch):
     lo = min(1, csr.n)
     assert (npk.np_flat_source_stats(flat, lo, csr.n)
             == flat_source_stats(flat, lo, csr.n))
-
-
-# --------------------------------------------------------------------- #
-# Delay propagation against an independent directed oracle
-# --------------------------------------------------------------------- #
-
-
-def _directed_dijkstra(csr, delays, source):
-    dist = [math.inf] * csr.n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for j in range(csr.indptr[u], csr.indptr[u + 1]):
-            v = csr.indices[j]
-            nd = d + delays[j]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-@requires_numpy
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_delay_propagation_asymmetric(seed):
-    g = random_connected_graph(15, 18, seed=seed)
-    csr = CSRGraph(g)
-    npg = npk.NPGraph(csr)
-    rng = random.Random(seed + 100)
-    # Per-direction delays in [0, w], including exact zeros — each
-    # orientation of an edge draws independently (the paper's adversary
-    # may delay the two directions differently).
-    delays = [
-        w * rng.choice((0.0, 0.25, 0.5, 1.0)) for w in csr.weights
-    ]
-    for source in range(0, csr.n, 4):
-        got = npk.np_delay_propagation(npg, source, delays)
-        assert got == _directed_dijkstra(csr, delays, source)
-
-
-@requires_numpy
-def test_delay_propagation_validation():
-    npg = _np_graph(path_graph(4))
-    with pytest.raises(ValueError, match="one entry per directed"):
-        npk.np_delay_propagation(npg, 0, [1.0])
-    with pytest.raises(ValueError, match="non-negative"):
-        npk.np_delay_propagation(npg, 0, [-1.0] * npg.m2)
-    with pytest.raises(IndexError):
-        npk.np_delay_propagation(npg, 99)
-    with pytest.raises(IndexError):
-        npk.np_sssp_dist(npg, -1)
-    # NaN passes a `< 0` check; it must still be rejected, and promptly:
-    # a relaxation loop comparing NaN arrivals never reaches a fixpoint.
-    npg = _np_graph(random_connected_graph(8, 6, seed=1))
-    delays = npg.weights.tolist()
-    delays[0] = math.nan
-    with _deadline(10), pytest.raises(ValueError, match="NaN"):
-        npk.np_delay_propagation(npg, 0, delays)
-
-
-@contextlib.contextmanager
-def _deadline(seconds: int):
-    """Raise ``TimeoutError`` in the main thread after ``seconds``."""
-    def expire(_signum, _frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # --------------------------------------------------------------------- #
@@ -334,38 +262,37 @@ def test_prim_tie_break_pinned(each_backend):
 
 
 def test_kruskal_tie_break_pinned(each_backend):
-    from repro.graphs import kruskal_mst
-
     # edges() order: (a,b), (a,d), (b,c), (c,d); stable sort keeps it;
     # (c,d) closes the cycle and is rejected.
     tree = kruskal_mst(_tie_square())
     assert list(tree.edges()) == [("a", "b", 1), ("a", "d", 1), ("b", "c", 1)]
 
 
-@requires_numpy
-def test_prim_equal_weight_randomized():
-    # All-unit weights maximize tie pressure; every implementation must
-    # still pick the same tree edge-for-edge.
+def test_prim_equal_weight_randomized(monkeypatch):
+    # All-unit weights maximize tie pressure; the public Prim must still
+    # pick the oracle's tree edge-for-edge under every backend.
     for seed in range(8):
         g = random_connected_graph(16, 20, seed=seed, max_weight=1)
-        csr = CSRGraph(g)
-        got = npk.np_prim_mst(npk.NPGraph(csr))
-        assert list(got.edges()) == list(csr_prim_mst(csr).edges())
+        want = list(prim_mst_dicts(g).edges())
+        for backend in BACKENDS:
+            monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, backend)
+            assert list(prim_mst(g).edges()) == want
 
 
-@requires_numpy
-def test_total_weight_repr_preserves_int_vs_float():
+def test_total_weight_repr_preserves_int_vs_float(monkeypatch):
     ints = random_connected_graph(10, 8, seed=2)  # int weights
     fracs = _fractional_graph(3)  # float weights
-    for g in (ints, fracs):
-        csr = CSRGraph(g)
-        npg = npk.NPGraph(csr)
-        for build in (npk.np_prim_mst, npk.np_kruskal_mst):
-            total = build(npg).total_weight()
-            oracle = csr_prim_mst(csr).total_weight()
-            assert type(total) is type(oracle)
-    # int graphs must sum to a plain int, never numpy.float64
-    assert type(npk.np_prim_mst(_np_graph(ints)).total_weight()) is int
+    for backend in BACKENDS:
+        monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, backend)
+        for g in (ints, fracs):
+            for build, oracle in ((prim_mst, prim_mst_dicts),
+                                  (kruskal_mst, kruskal_mst_dicts)):
+                total = build(g).total_weight()
+                want = oracle(g).total_weight()
+                assert type(total) is type(want)
+                assert repr(total) == repr(want)
+        # int graphs must sum to a plain int, never numpy.float64
+        assert type(prim_mst(ints).total_weight()) is int
 
 
 # --------------------------------------------------------------------- #
@@ -375,7 +302,7 @@ def test_total_weight_repr_preserves_int_vs_float():
 
 @requires_numpy
 @pytest.mark.parametrize("seed", range(12))
-def test_randomized_sweep(seed):
+def test_randomized_sweep(seed, monkeypatch):
     rng = random.Random(seed * 7919 + 1)
     n = rng.randrange(2, 22)
     extra = rng.randrange(0, 2 * n)
@@ -390,18 +317,19 @@ def test_randomized_sweep(seed):
     npg = npk.NPGraph(csr)
     assert npk.np_all_sources_scan(npg) == all_sources_scan(csr)
     source = rng.randrange(csr.n)
-    dist_map, _ = sssp_maps(csr, csr.verts[source])
-    assert npk.np_sssp_dist(npg, source) == [
-        dist_map.get(v, math.inf) for v in csr.verts
-    ]
-    if g.is_connected():
-        assert (list(npk.np_prim_mst(npg).edges())
-                == list(csr_prim_mst(csr).edges()))
-        assert (list(npk.np_kruskal_mst(npg).edges())
-                == list(csr_kruskal_mst(csr).edges()))
-    else:
-        with pytest.raises(ValueError):
-            npk.np_prim_mst(npg)
+    flat = flat_of(csr)
+    assert (npk.np_flat_source_stats(flat, source, source + 1)
+            == flat_source_stats(flat, source, source + 1))
+    for backend in BACKENDS:
+        monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, backend)
+        if g.is_connected():
+            assert (list(prim_mst(g).edges())
+                    == list(prim_mst_dicts(g).edges()))
+            assert (list(kruskal_mst(g).edges())
+                    == list(kruskal_mst_dicts(g).edges()))
+        else:
+            with pytest.raises(ValueError):
+                prim_mst(g)
 
 
 # --------------------------------------------------------------------- #
@@ -639,14 +567,16 @@ def test_mixed_weights_use_heap(each_backend):
 @pytest.mark.parametrize("factory", [
     _fractional_graph, _mixed_weight_graph,
 ], ids=["fractional", "mixed"])
-def test_fractional_backends_agree(factory):
+def test_fractional_backends_agree(factory, monkeypatch):
     g = factory(4)
     csr = CSRGraph(g)
     npg = npk.NPGraph(csr)
     assert not npg.use_int  # float regime
     assert npk.np_all_sources_scan(npg) == all_sources_scan(csr)
-    assert (list(npk.np_prim_mst(npg).edges())
-            == list(csr_prim_mst(csr).edges()))
+    want = list(prim_mst_dicts(g).edges())
+    for backend in BACKENDS:
+        monkeypatch.setenv(npk.KERNEL_BACKEND_ENV, backend)
+        assert list(prim_mst(g).edges()) == want
 
 
 # --------------------------------------------------------------------- #

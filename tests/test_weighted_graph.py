@@ -51,6 +51,15 @@ def test_nonpositive_weight_rejected():
     assert g.num_vertices == 0
 
 
+def test_infinite_weight_rejected():
+    # inf passes a `> 0` check; accepted, it would surface only at the
+    # first parameter query, as an OverflowError inside the CSR snapshot.
+    g = WeightedGraph()
+    with pytest.raises(ValueError, match="finite"):
+        g.add_edge(1, 2, float("inf"))
+    assert g.num_vertices == 0
+
+
 def test_remove_edge():
     g = path_graph(3)
     g.remove_edge(0, 1)
