@@ -714,8 +714,9 @@ def bench_chaos_sweep(jobs: int, quick: bool) -> dict:
     engine = run_parallel(run_chaos_cell, cells, jobs=jobs, warm=warm)
     engine_s = time.perf_counter() - t0
 
-    # The real pool path, forced: cold (spin-up + warm init included),
-    # then reusing the persistent workers.
+    # The real pool path, forced: cold (pool spin-up included; the
+    # references come from this process's memo, filled by the serial
+    # runs above), then reusing the persistent workers.
     shutdown_pool()
     t0 = time.perf_counter()
     pool_cold = run_parallel(run_chaos_cell, cells, jobs=jobs, warm=warm,

@@ -26,6 +26,7 @@ against the memoized fault-free reference.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -306,19 +307,55 @@ def case_of(spec: RunSpec) -> ChaosCase:
     return suite[spec.protocol]
 
 
-@lru_cache(maxsize=64)
+#: Per-process memo of fault-free reference runs, least recently used
+#: first: ``(n, extra_edges, graph_seed, protocol) -> (answer, time,
+#: comm_cost)``.  Only that compact summary is kept, so a reference
+#: pickles in a few KB and a pool task can carry it to the workers.
+_references: OrderedDict[tuple, tuple] = OrderedDict()
+_MAX_REFERENCES = 64
+
+
 def _reference(n: int, extra_edges: int, graph_seed: int,
-               protocol: str) -> ChaosOutcome:
-    """Per-process memo of one protocol's fault-free reference run."""
-    case = case_of(RunSpec(protocol, n, extra_edges, graph_seed))
-    reference = run_chaos(case.graph, case.factory, plan=None,
-                          reliable=False, answer=case.answer)
-    if reference.status != "ok":  # pragma: no cover - suite invariant
-        raise RuntimeError(
-            f"fault-free reference run failed for {protocol}: "
-            f"{reference.status}"
-        )
-    return reference
+               protocol: str) -> tuple:
+    """One protocol's fault-free ``(answer, time, comm_cost)``, memoized."""
+    key = (n, extra_edges, graph_seed, protocol)
+    ref = _references.get(key)
+    if ref is None:
+        case = case_of(RunSpec(protocol, n, extra_edges, graph_seed))
+        outcome = run_chaos(case.graph, case.factory, plan=None,
+                            reliable=False, answer=case.answer)
+        if outcome.status != "ok":  # pragma: no cover - suite invariant
+            raise RuntimeError(
+                f"fault-free reference run failed for {protocol}: "
+                f"{outcome.status}"
+            )
+        ref = (outcome.answer, outcome.result.time, outcome.result.comm_cost)
+    _seed_references({key: ref})
+    return ref
+
+
+def _seed_references(refs: dict) -> None:
+    """Enter ``refs`` (as :func:`_warm_references` returns them) into this
+    process's reference memo, evicting the least recently used past 64."""
+    for key, ref in refs.items():
+        _references.pop(key, None)
+        _references[key] = ref  # most recently used last
+    while len(_references) > _MAX_REFERENCES:
+        _references.popitem(last=False)
+
+
+def _warm_references(warm: tuple) -> dict:
+    """The references of every warm spec, computed (once) in this process.
+
+    Each spec is ``(n, extra_edges, graph_seed, protocols)``;
+    ``protocols=None`` names the :data:`MATRIX` cases.
+    """
+    return {
+        (n, extra_edges, graph_seed, name):
+            _reference(n, extra_edges, graph_seed, name)
+        for n, extra_edges, graph_seed, protocols in warm
+        for name in (MATRIX if protocols is None else protocols)
+    }
 
 
 def run_spec(spec: RunSpec, *, recorder: Any = None,
@@ -332,11 +369,11 @@ def run_spec(spec: RunSpec, *, recorder: Any = None,
     :func:`~repro.faults.runner.run_chaos`.
     """
     case = case_of(spec)
-    reference = _reference(spec.n, spec.extra_edges, spec.graph_seed,
-                           spec.protocol)
+    answer, ff_time, ff_cost = _reference(spec.n, spec.extra_edges,
+                                          spec.graph_seed, spec.protocol)
     # Success ends by quiescence; the watchdog only has to be generous
     # enough that backoff-stretched runs are not misclassified.
-    watchdog = 500.0 * max(reference.result.time, 1.0) + 1000.0
+    watchdog = 500.0 * max(ff_time, 1.0) + 1000.0
     # A fresh plan per run, built from the canonical dict: a plan restored
     # by pickle (a spec shipped to a pool worker) decides fates measurably
     # slower than a constructed one.
@@ -344,9 +381,9 @@ def run_spec(spec: RunSpec, *, recorder: Any = None,
     outcome = run_chaos(
         case.graph, case.factory, plan=plan, reliable=spec.reliable,
         watchdog_time=watchdog, seed=spec.seed, answer=case.answer,
-        expect=reference.answer, recorder=recorder, race_detect=race_detect,
+        expect=answer, recorder=recorder, race_detect=race_detect,
     )
-    return outcome, reference.result.comm_cost
+    return outcome, ff_cost
 
 
 def chaos_matrix(

@@ -25,17 +25,21 @@ parallel sweeps produce byte-identical row lists.
 
 **Amortization.**  Three layers keep per-cell overhead flat:
 
-* the worker pool is *persistent*: the first parallel call creates it and
-  later calls with the same ``(jobs, warm)`` shape reuse it, so pool
-  spin-up (fork + interpreter init per worker) is paid once per sweep
-  session instead of once per call (``shutdown_pool`` disposes it; an
-  ``atexit`` hook does so at interpreter exit);
-* each worker runs :func:`_worker_init` on startup, pre-building the case
-  suite and fault-free reference runs for every *warm spec* — one
+* one worker pool per ``(jobs, kernel backend)`` is *persistent*: the
+  first parallel call creates it and every later call reuses it, whatever
+  graph shapes or snapshots it sweeps, so pool spin-up (fork +
+  interpreter init per worker) is paid once per session
+  (``shutdown_pool`` disposes it; an ``atexit`` hook does so at
+  interpreter exit);
+* workers simulate nothing outside their cells: the dispatching process
+  computes each *warm spec*'s fault-free references once — one
   ``(n, extra_edges, graph_seed, protocols)`` tuple per graph shape in
-  the sweep — so no cell ever pays graph/SLT construction inside its own
-  timing; anything not pre-warmed is still memoized on first use by the
-  case and reference memos of :mod:`repro.experiments.chaos`;
+  the sweep — and every pool task carries those compact ``(answer, time,
+  comm_cost)`` summaries into the worker's memo; the case suite and
+  anything not warmed are memoized per process on first use by
+  :mod:`repro.experiments.chaos`, and a snapshot is attached by the
+  first cell that names it (:func:`repro.graphs.shm.attach`, whose
+  per-process cache holds a bounded number of attachments);
 * :func:`parallel_plan` picks the execution mode: serial when the pool
   cannot pay for itself (``jobs <= 1``, a single cell, fewer than two
   usable CPUs, or too few cells per worker), otherwise a chunksize sized
@@ -101,8 +105,7 @@ _CHUNK_WAVES = 4
 # cells; below that, fork + pickle overhead beats the parallel win.
 _MIN_CELLS_PER_WORKER = 2
 
-# The one live pool, keyed by the (jobs, warm, kernel backend) shape
-# that built it.
+# The one live pool and the (jobs, kernel backend) key that built it.
 _pool: ProcessPoolExecutor | None = None
 _pool_key: tuple | None = None
 _atexit_registered = False
@@ -134,71 +137,35 @@ def parallel_plan(
     return ("pool", max(1, n_cells // (jobs * _CHUNK_WAVES)))
 
 
-def _worker_init(
-    warm: tuple = (),
-    kernel_backend: str | None = None,
-    snapshots: tuple = (),
-) -> None:
-    """Per-worker initializer: pre-build shared state for each warm spec.
+def _worker_init(kernel_backend: str) -> None:
+    """Per-worker initializer: pin the kernel backend the parent resolved.
 
-    Runs once in every pool process before it receives cells.  Each spec
-    is ``(n, extra_edges, graph_seed, protocols)`` — ``protocols=None``
-    warms the matrix cases (:data:`~repro.experiments.chaos.MATRIX`) of
-    that graph shape.  Filling the case and reference memos of
-    :mod:`repro.experiments.chaos` here moves graph construction, SLT
-    building, and the fault-free reference runs out of the first cell
-    each worker executes (they are by far the dominant per-cell setup
-    cost).
-
-    ``kernel_backend`` pins the graph-kernel backend the parent resolved
-    (see :func:`repro.graphs.npkernels.kernel_backend`) so every worker
-    computes graph parameters through the same kernels as a serial run —
-    one leg of the serial == pool byte-identity contract.  (The kernels
-    are value-identical anyway; pinning makes the guarantee structural
-    rather than incidental.)
+    Every worker then computes graph parameters through the same kernels
+    as a serial run — one leg of the serial == pool byte-identity
+    contract.  (The kernels are value-identical anyway; pinning makes the
+    guarantee structural rather than incidental.)  It runs no simulation
+    and attaches no snapshot: a pool task carries the fault-free
+    references its cells need, and a cell attaches its snapshot on first
+    use.
     """
-    if kernel_backend is not None:
-        from ..graphs.npkernels import set_kernel_backend
+    from ..graphs.npkernels import set_kernel_backend
 
-        set_kernel_backend(kernel_backend)
-    if snapshots:
-        # Attach every published graph snapshot once, up front: cells
-        # then resolve their handles from the process-local cache
-        # (zero-copy views of the shared segment), never rebuilding.
-        # Attachment failures are deliberately swallowed here — attach()
-        # falls back to a spec rebuild at cell time, and a snapshot that
-        # is truly unreachable should fail the *cell*, not kill the
-        # worker before it ever ran one.
-        from ..graphs import shm
-
-        for handle in snapshots:
-            try:
-                shm.attach(handle)
-            except Exception:
-                pass
-    if not warm:
-        return
-    from .chaos import MATRIX, _reference
-
-    for n, extra_edges, graph_seed, protocols in warm:
-        for name in MATRIX if protocols is None else protocols:
-            _reference(n, extra_edges, graph_seed, name)
+    set_kernel_backend(kernel_backend)
 
 
 def shutdown_pool() -> None:
     """Dispose the persistent worker pool (no-op when none is live).
 
-    Tests use this to force a fresh pool (e.g. to observe the warm
-    initializer); an ``atexit`` hook calls it so interpreter shutdown
-    never hangs on live workers.
+    Tests use this to force a fresh pool; an ``atexit`` hook calls it so
+    interpreter shutdown never hangs on live workers.
     """
     _dispose_pool()
     # Workers are gone, so nothing maps the published graph segments any
     # more: unlink them all.  Guarded on the module being imported — a
     # process that never published has nothing to clean, and this also
     # runs from atexit where fresh imports are unwelcome.  (Internal pool
-    # *rebuilds* use _dispose_pool directly: a key change must not unlink
-    # segments the next sweep just published.)
+    # disposals use _dispose_pool directly: a backend change or a broken
+    # pool must not unlink segments a sweep is still reading.)
     shm = sys.modules.get("repro.graphs.shm")
     if shm is not None:
         shm.unlink_all()
@@ -212,27 +179,19 @@ def _dispose_pool() -> None:
         _pool_key = None
 
 
-def _get_pool(jobs: int, warm: tuple, snapshots: tuple = ()) -> ProcessPoolExecutor:
-    """The persistent pool for ``(jobs, warm, backend, snapshots)``.
-
-    Snapshot handles join the pool key so a sweep over different (or
-    re-published) graphs gets fresh workers that attach the right
-    segments in their initializer; handles are frozen dataclasses of
-    primitives, so the key stays hashable and comparison is by value.
-    """
+def _get_pool(jobs: int) -> ProcessPoolExecutor:
+    """The persistent pool for ``(jobs, kernel backend)``: the only
+    state its workers depend on."""
     global _pool, _pool_key, _atexit_registered
     from ..graphs.npkernels import kernel_backend
 
     backend = kernel_backend()
-    key = (jobs, warm, backend, snapshots)
+    key = (jobs, backend)
     if _pool is not None and _pool_key != key:
         _dispose_pool()
     if _pool is None:
-        _pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_worker_init,
-            initargs=(warm, backend, snapshots),
-        )
+        _pool = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+                                    initargs=(backend,))
         _pool_key = key
         if not _atexit_registered:
             atexit.register(shutdown_pool)
@@ -240,9 +199,14 @@ def _get_pool(jobs: int, warm: tuple, snapshots: tuple = ()) -> ProcessPoolExecu
     return _pool
 
 
-def _run_cell_batch(item: tuple) -> list:
-    """Execute one batched dispatch group ``(fn, cells)`` in a worker."""
-    fn, group = item
+def _run_task(task: tuple) -> list:
+    """Run one pool task ``(fn, group, references)`` in a worker: seed the
+    worker's reference memo, then map ``fn`` over the group's cells."""
+    fn, group, references = task
+    if references:
+        from .chaos import _seed_references
+
+        _seed_references(references)
     return [fn(c) for c in group]
 
 
@@ -254,7 +218,6 @@ def run_parallel(
     chunksize: int | None = None,
     warm: tuple = (),
     force: str | None = None,
-    snapshots: tuple = (),
     batch: int | None = None,
 ) -> list[_R]:
     """Map ``fn`` over ``cells``, sharding across the persistent pool.
@@ -263,26 +226,29 @@ def run_parallel(
     pickling) — the reference path the parallel one must match.  With
     ``jobs > 1`` the :func:`parallel_plan` policy decides whether a pool
     can pay for itself; when it can, cells are sharded across the
-    persistent ``jobs``-worker pool (created on first use, reused across
-    calls, workers pre-warmed per ``warm`` spec).  ``fn`` and each cell
-    must then be picklable (module-level function, frozen dataclass
-    cells).  Results always come back in cell order, so callers can merge
-    by concatenation.
+    persistent ``jobs``-worker pool (created on first use, reused by
+    every later call with the same ``jobs`` and kernel backend).  ``fn``
+    and each cell must then be picklable (module-level function, frozen
+    dataclass cells).  Results always come back in cell order, so
+    callers can merge by concatenation.
 
-    ``chunksize=None`` uses the plan's adaptive chunksize.  ``force``
-    overrides the plan: ``"serial"`` never touches a pool, ``"pool"``
-    shards even when the plan would fall back (benchmarks and tests use
-    it to exercise the real pool path regardless of host CPU count).  If
-    the pool's workers die mid-map (``BrokenProcessPool``), the pool is
-    disposed and the whole map re-runs serially — cells are pure
-    functions of their description, so a re-run is byte-identical.
+    Each pool task is a group of cells.  A group holds ``chunksize``
+    cells (``None``: the plan's adaptive chunksize), and at least
+    ``batch`` when that is set, so huge sweeps of cheap cells pay one
+    pickle round-trip per group; serial runs ignore both.  ``warm``
+    names the chaos references the cells need, as ``(n, extra_edges,
+    graph_seed, protocols)`` specs (``protocols=None``: the matrix
+    cases).  This process computes them once, through the memo of
+    :mod:`repro.experiments.chaos`, and every task carries them, so no
+    worker simulates anything outside its cells.
 
-    ``snapshots`` is a tuple of published :class:`SnapshotHandle`\\ s the
-    workers attach once in their initializer (and part of the pool key —
-    see :func:`_get_pool`).  ``batch`` groups that many cells per task so
-    huge sweeps of cheap cells pay one pickle round-trip per *group*
-    instead of per cell; results are flattened back to cell order, so
-    batching is invisible in the output (serial runs ignore it).
+    ``force`` overrides the plan: ``"serial"`` never touches a pool,
+    ``"pool"`` shards even when the plan would fall back (benchmarks and
+    tests use it to exercise the real pool path regardless of host CPU
+    count).  If the pool's workers die mid-map (``BrokenProcessPool``),
+    the pool alone is disposed — published snapshots stay — and the
+    whole map re-runs serially; cells are pure functions of their
+    description, so a re-run is byte-identical.
     """
     cells = list(cells)
     if force not in (None, "serial", "pool"):
@@ -295,19 +261,19 @@ def run_parallel(
         mode, auto_chunk = parallel_plan(len(cells), jobs)
     if force == "serial" or mode == "serial":
         return [fn(c) for c in cells]
-    pool = _get_pool(workers, tuple(warm), tuple(snapshots))
+    size = max(batch or 1, chunksize or auto_chunk)
+    references: dict = {}
+    if warm:
+        from .chaos import _warm_references
+
+        references = _warm_references(warm)
+    tasks = [(fn, cells[i:i + size], references)
+             for i in range(0, len(cells), size)]
+    pool = _get_pool(workers)
     try:
-        if batch is not None and batch > 1 and len(cells) > batch:
-            groups = [
-                (fn, tuple(cells[i:i + batch]))
-                for i in range(0, len(cells), batch)
-            ]
-            gchunk = chunksize or max(1, len(groups) // (workers * _CHUNK_WAVES))
-            nested = pool.map(_run_cell_batch, groups, chunksize=gchunk)
-            return [row for group_rows in nested for row in group_rows]
-        return list(pool.map(fn, cells, chunksize=chunksize or auto_chunk))
+        return [row for rows in pool.map(_run_task, tasks) for row in rows]
     except BrokenProcessPool:
-        shutdown_pool()
+        _dispose_pool()
         return [fn(c) for c in cells]
 
 
@@ -381,8 +347,9 @@ def run_chaos_cell(spec: RunSpec) -> dict:
 
     Module-level and closed over nothing, so it shards cleanly across a
     process pool; the expensive shared state (case suite, fault-free
-    reference) is rebuilt once per worker process by the memos behind
-    :func:`~repro.experiments.chaos.run_spec`.  A traced spec (``limit``
+    reference) comes from the per-process memos behind
+    :func:`~repro.experiments.chaos.run_spec`, which a pool task seeds
+    with the references its dispatcher computed.  A traced spec (``limit``
     set) runs under an aggregates-only recorder and its row gains a
     ``"trace"`` summary; ``race`` runs the race detector in ``"raise"``
     mode, so a violation surfaces as status ``"error"``.
@@ -424,8 +391,8 @@ def chaos_rows(
 
     Serial (``jobs<=1``) and parallel runs return byte-identical lists:
     the same cells, executed by the same worker function, merged in the
-    same order.  Pool workers are pre-warmed with this sweep's graph
-    shape, so no cell pays suite/reference construction; ``force``
+    same order.  This process computes the sweep's fault-free references
+    once and the pool tasks carry them, so no worker runs one; ``force``
     passes through to :func:`run_parallel`.  ``trace=True`` adds a
     ``"trace"`` per-span summary dict to every row (identical serial vs.
     pool — the recorder travels inside the cell, not via ambient state).
@@ -452,9 +419,10 @@ class SnapshotCell:
 
     Carries the :class:`~repro.graphs.shm.SnapshotHandle` itself —
     handles are frozen dataclasses of primitives, so the cell pickles in
-    O(1) regardless of graph size; the worker resolves it against its
-    process-local attachment cache (populated by :func:`_worker_init`),
-    so no cell ever copies or rebuilds graph buffers.
+    O(1) regardless of graph size; the worker resolves it through its
+    process-local attachment cache (the first cell to name a handle maps
+    the segment, later ones reuse the mapping), so no cell ever copies or
+    rebuilds graph buffers.
 
     ``kind`` selects the kernel: ``"stripe"`` computes O(deg) local
     adjacency stats for vertices ``lo..hi-1`` (pure snapshot-read cells —
@@ -553,51 +521,50 @@ def snapshot_rows(
 ) -> list[dict]:
     """Sweep a published snapshot, optionally sharded; rows in cell order.
 
-    The handle joins the pool key via ``snapshots=(handle,)``, so workers
-    attach the segment once in their initializer and every cell runs
-    zero-copy against it — exactly one graph build per sweep, which
-    :func:`pool_shm_stats` lets callers assert.  Serial (``jobs<=1`` or
-    ``force="serial"``) runs the same cells in-process against the same
-    published flat, so serial and pool row lists are byte-identical.
+    Each worker attaches the segment the first time one of its cells
+    names the handle and runs every cell zero-copy against it — exactly
+    one graph build per sweep, which :func:`pool_shm_stats` lets callers
+    assert.  The pool is the one every sweep shares: a new handle needs
+    no new workers.  Serial (``jobs<=1`` or ``force="serial"``) runs the
+    same cells in-process against the same published flat, so serial and
+    pool row lists are byte-identical.
     """
     cells = snapshot_cells(handle, kind=kind, limit=limit,
                            cell_size=cell_size, kernel=kernel)
     return run_parallel(run_snapshot_cell, cells, jobs=jobs, force=force,
-                        snapshots=(handle,), batch=batch,
-                        chunksize=chunksize)
+                        batch=batch, chunksize=chunksize)
 
 
-def _probe_shm_stats(_cell: int) -> dict:
-    """Worker-side probe: this process's shm counters, keyed by pid."""
+def _probe_shm_stats(handles: tuple) -> dict:
+    """Worker-side probe: attach ``handles``, then report this process's
+    shm counters, keyed by pid."""
     from ..graphs import shm
 
+    for handle in handles:
+        shm.attach(handle)
     return {"pid": os.getpid(), **shm.stats()}
 
 
 def pool_shm_stats(
     jobs: int | None = None,
     *,
-    warm: tuple = (),
     snapshots: tuple = (),
 ) -> list[dict]:
     """Per-worker shared-memory counters from the live pool, one dict per pid.
 
     Dispatches a wave of probe cells with ``chunksize=1`` so every worker
-    (very likely) answers at least once, then dedups by pid.  ``warm`` and
-    ``snapshots`` must match the sweep that built the pool — they are part
-    of the pool key, and a mismatch would silently rebuild the pool and
-    probe fresh workers instead.  This is how the acceptance criterion
-    "one graph build per sweep" is *measured*: after an shm-backed sweep,
-    every worker reports ``shm_creates == 0`` (only the parent creates)
-    and the rebuild counter stays zero.
+    (very likely) answers at least once, then dedups by pid.  Each probe
+    first attaches ``snapshots`` (a no-op where the worker already holds
+    them), so a probe at setup maps the segments before a timed sweep.
+    This is how the acceptance criterion "one graph build per sweep" is
+    *measured*: after an shm-backed sweep, every worker reports
+    ``shm_creates == 0`` (only the parent creates) and the rebuild counter
+    stays zero.
     """
     workers = jobs if jobs and jobs > 1 else 2
-    rows = run_parallel(_probe_shm_stats, list(range(workers * 4)),
-                        jobs=workers, warm=warm, snapshots=snapshots,
-                        force="pool", chunksize=1)
-    by_pid: dict[int, dict] = {}
-    for row in rows:
-        by_pid.setdefault(row["pid"], row)
+    rows = run_parallel(_probe_shm_stats, [tuple(snapshots)] * (workers * 4),
+                        jobs=workers, force="pool", chunksize=1)
+    by_pid = {row["pid"]: row for row in reversed(rows)}  # first answers
     return [by_pid[pid] for pid in sorted(by_pid)]
 
 

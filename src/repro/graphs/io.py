@@ -38,7 +38,11 @@ def _parse_vertex(token: str) -> Vertex:
 
 
 def dumps_graph(graph: WeightedGraph) -> str:
-    """Serialize to the text format (deterministic ordering)."""
+    """Serialize to the text format (deterministic ordering).
+
+    A weight is written ``{w:g}`` when that parses back to ``w``, else as
+    ``repr(w)``, so :func:`loads_graph` restores every weight exactly.
+    """
     out = io.StringIO()
     out.write(f"# weighted graph: n={graph.num_vertices} m={graph.num_edges}\n")
     adjacent = set()
@@ -49,7 +53,11 @@ def dumps_graph(graph: WeightedGraph) -> str:
         if v not in adjacent:
             out.write(f"v {_token(v)}\n")
     for u, v, w in sorted(graph.edges(), key=lambda e: (repr(e[0]), repr(e[1]))):
-        out.write(f"e {_token(u)} {_token(v)} {w:g}\n")
+        # The short form where it parses back to w (every weight the
+        # generators draw), else repr: nothing of the weight is lost.
+        short = f"{w:g}"
+        out.write(f"e {_token(u)} {_token(v)} "
+                  f"{short if float(short) == w else repr(w)}\n")
     return out.getvalue()
 
 

@@ -20,28 +20,31 @@ Snapshots are keyed by ``(fingerprint, version)``:
 * :func:`attach` resolves a handle through a three-level fallback:
   the publishing process's own ``FlatGraph`` (serial sweeps never touch
   shm bytes at all), a process-local attachment cache (each worker maps
-  a segment once per sweep, not once per cell), the real shared segment,
-  and finally — when shared memory is unavailable or the segment is gone
-  — a from-scratch rebuild via the handle's generator ``spec``.  Every
-  step is counted in :func:`stats`; nothing in the chain can crash a
-  sweep that a plain per-worker rebuild would have survived.
+  a segment once, on the first cell that names it, not once per cell),
+  the real shared segment, and finally — when shared memory is
+  unavailable or the segment is gone — a from-scratch rebuild via the
+  handle's generator ``spec``.  Every step is counted in :func:`stats`;
+  nothing in the chain can crash a sweep that a plain per-worker rebuild
+  would have survived.  The cache keeps the ``_MAX_ATTACHED`` most
+  recently used attachments, so a worker that lives for a whole session
+  holds a bounded number of mappings.
 * :func:`unlink_all` (called by ``shutdown_pool()`` and at interpreter
   exit) closes and unlinks every published segment, so no ``rshm-*``
   files outlive the process and the POSIX resource tracker has nothing
-  to warn about.  Worker-side attachments are never *registered* with
-  the resource tracker in the first place (Python < 3.13 registers
-  attachments like creations, which would otherwise produce spurious
-  "leaked shared_memory" warnings and double-unlink attempts — see
-  :func:`_open_segment`); the publishing process is the only owner, and
-  forked children explicitly disown any inherited publisher state
-  (:func:`_after_fork_in_child`).
+  to warn about.  Worker-side attachments are plain read-only mappings
+  that the resource tracker never hears of (:func:`_map_segment`); the
+  publishing process is the only owner, and forked children explicitly
+  disown any inherited publisher state (:func:`_after_fork_in_child`).
 """
 
 from __future__ import annotations
 
 import atexit
+import importlib
+import mmap
 import os
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -100,9 +103,12 @@ class SnapshotHandle:
 
 # key -> (handle, segment-or-None, local FlatGraph); publisher side.
 _published: dict[str, tuple[SnapshotHandle, Any, FlatGraph]] = {}
-# (fingerprint, version) -> (FlatGraph, segment-or-None); attacher side.
-_attached: dict[tuple[str, int], tuple[FlatGraph, Any]] = {}
-# Attached wrappers retained for the process lifetime (see attach()).
+# (fingerprint, version) -> FlatGraph, least recently used first;
+# attacher side.
+_attached: OrderedDict[tuple[str, int], FlatGraph] = OrderedDict()
+# Most attachments one process keeps (see attach()).
+_MAX_ATTACHED = 8
+# Publisher wrappers inherited by a forked child, never torn down there.
 _retained: list[Any] = []
 
 _counters = {
@@ -155,32 +161,26 @@ def _segment_name(fingerprint: str, version: int) -> str:
     return f"{SEGMENT_PREFIX}{fingerprint[:12]}-{version}-{os.getpid() % 100000}"
 
 
-def _open_segment(name: str) -> Any:
-    """Attach ``name`` without registering it with the resource tracker.
+def _map_segment(name: str, nbytes: int) -> mmap.mmap:
+    """Map segment ``name`` read-only.
 
-    Only the publisher owns the segment's lifecycle.  Before Python 3.13
-    (``track=False``), ``SharedMemory(name, create=False)`` registers the
-    attachment just like the creator does — and because forked pool
-    workers *share* the publisher's tracker process, unregistering after
-    the fact would remove the publisher's own entry (one shared set per
-    tracker), making its final unlink log a tracker ``KeyError``.  So on
-    old Pythons the registration call is suppressed for the duration of
-    the constructor instead: the tracker never hears about attachments at
-    all, exactly what ``track=False`` implements natively.
+    Only the publisher owns the segment's lifecycle, so an attachment
+    bypasses ``SharedMemory``: the resource tracker never hears of it
+    (forked workers share the publisher's tracker, so a registered
+    attachment would clash with the publisher's own entry), and the
+    ``shm_open`` descriptor is closed at once.  The mapping, with the one
+    descriptor ``mmap`` keeps, is released as soon as nothing references
+    it.
     """
     if _shm_mod is None:
         raise SnapshotUnavailable("multiprocessing.shared_memory not importable")
+    # The POSIX shm_open that SharedMemory itself calls (an untyped module).
+    posixshmem: Any = importlib.import_module("_posixshmem")
+    fd = posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
     try:
-        return _shm_mod.SharedMemory(name=name, create=False, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        from multiprocessing import resource_tracker
-
-        orig = resource_tracker.register
-        resource_tracker.register = lambda *a, **kw: None  # type: ignore[assignment]
-        try:
-            return _shm_mod.SharedMemory(name=name, create=False)
-        finally:
-            resource_tracker.register = orig  # type: ignore[assignment]
+        return mmap.mmap(fd, nbytes, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
 
 
 def _create_segment(name: str, nbytes: int) -> Any:
@@ -258,11 +258,11 @@ def publish(flat: FlatGraph, key: str | None = None) -> SnapshotHandle:
     return handle
 
 
-def _flat_from_segment(seg: Any, handle: SnapshotHandle) -> FlatGraph:
+def _flat_from_segment(seg: mmap.mmap, handle: SnapshotHandle) -> FlatGraph:
     o1 = 8 * (handle.n + 1)
     o2 = o1 + 8 * handle.m2
     o3 = o2 + 8 * handle.m2
-    mv = seg.buf.toreadonly()
+    mv = memoryview(seg)
     flat = FlatGraph(
         handle.n,
         mv[:o1].cast("q"),
@@ -284,6 +284,11 @@ def attach(handle: SnapshotHandle) -> FlatGraph:
     shared segment -> generator-spec rebuild.  Raises
     :class:`SnapshotUnavailable` only when every level fails *and* the
     handle carries no rebuild spec.
+
+    The cache keeps the ``_MAX_ATTACHED`` most recently used attachments
+    (and rebuilds).  An evicted mapping stays valid for every cell still
+    holding its ``FlatGraph`` — the views pin it — and is unmapped, its
+    descriptor closed, once the last of them is gone.
     """
     entry = _published.get(handle.key)
     if (
@@ -294,37 +299,33 @@ def attach(handle: SnapshotHandle) -> FlatGraph:
         _counters["shm_local_hits"] += 1
         return entry[2]
     ck = (handle.fingerprint, handle.version)
-    cached = _attached.get(ck)
-    if cached is not None:
+    flat = _attached.pop(ck, None)
+    if flat is not None:
+        _attached[ck] = flat  # most recently used last
         _counters["shm_local_hits"] += 1
-        return cached[0]
+        return flat
     if handle.segment is not None:
         try:
-            seg = _open_segment(handle.segment)
+            seg = _map_segment(handle.segment, handle.nbytes)
         except Exception as exc:
             _note_failure(exc)
         else:
-            flat = _flat_from_segment(seg, handle)
-            # The attachment's zero-copy views stay exported for as long
-            # as any cell holds the FlatGraph, so the wrapper must never
-            # try to tear down the mapping (close() would raise
-            # BufferError from __del__, spamming worker stderr).  The
-            # publisher owns unlink; the OS releases the mapping at
-            # process exit.  Disarm close() and pin the wrapper.
-            seg.close = lambda: None
-            _retained.append(seg)
-            _attached[ck] = (flat, seg)
             _counters["shm_attaches"] += 1
-            return flat
+            return _cache_attached(ck, _flat_from_segment(seg, handle))
     if handle.spec is not None:
-        flat = build_spec(handle.spec)
-        _attached[ck] = (flat, None)
         _counters["shm_rebuilds"] += 1
-        return flat
+        return _cache_attached(ck, build_spec(handle.spec))
     raise SnapshotUnavailable(
         f"snapshot {handle.fingerprint}/v{handle.version}: segment "
         f"{handle.segment!r} unreachable and no rebuild spec"
     )
+
+
+def _cache_attached(ck: tuple[str, int], flat: FlatGraph) -> FlatGraph:
+    _attached[ck] = flat
+    if len(_attached) > _MAX_ATTACHED:
+        _attached.popitem(last=False)
+    return flat
 
 
 def build_spec(spec: tuple[Any, ...]) -> FlatGraph:

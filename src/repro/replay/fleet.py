@@ -135,8 +135,9 @@ def record_fleet(
     from ..experiments.parallel import run_parallel
 
     specs = fleet_specs(count, **grid)
-    warm_shapes = sorted({(s.n, s.extra_edges, s.graph_seed) for _n, s in specs})
-    warm = tuple((n, e, g, None) for n, e, g in warm_shapes)
+    # The references these specs need: one per (graph shape, protocol).
+    warm = tuple(sorted({(s.n, s.extra_edges, s.graph_seed, (s.protocol,))
+                         for _n, s in specs}))
     results = run_parallel(_record_cell, specs, jobs=jobs, warm=warm,
                            force=force)
     entries = {}

@@ -25,9 +25,9 @@ is refused with a clean :class:`ServeError` (arrived after) — never a
 crash.
 
 Cold executions are serialized through one executor slot: the persistent
-process pool is a process-global singleton keyed by sweep shape, so
-concurrent ``run_parallel`` calls from multiple threads would race its
-rebuild logic.  Parallelism comes from *inside* a request (pool fan-out
+process pool is a process-global singleton whose creation and disposal
+take no lock, so concurrent ``run_parallel`` calls from multiple threads
+would race them.  Parallelism comes from *inside* a request (pool fan-out
 over its cells) and from hits/coalesces being served concurrently, which
 is exactly the duplicate-heavy workload the service exists for.
 """

@@ -1,5 +1,8 @@
 """Tests for graph I/O and the extra generators (hypercube, trees)."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,11 +14,15 @@ from repro.graphs import (
     diameter,
     dump_graph,
     dumps_graph,
+    graph_fingerprint,
     hypercube_graph,
     load_graph,
     loads_graph,
+    lower_bound_graph,
     random_connected_graph,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
 
 
 # --------------------------------------------------------------------- #
@@ -80,6 +87,41 @@ def test_comments_and_blank_lines_ignored():
     text = "# header\n\ne 1 2 5\n# trailing\n"
     g = loads_graph(text)
     assert g.weight(1, 2) == 5.0
+
+
+def test_roundtrip_keeps_every_bit_of_the_weights():
+    g = WeightedGraph([(0, 1, 1 / 3), (1, 2, 1234567.0)])
+    h = loads_graph(dumps_graph(g))
+    assert h.weight(0, 1) == 1 / 3 and h.weight(1, 2) == 1234567.0
+    lb = lower_bound_graph(40)
+    assert max(w for _u, _v, w in lb.edges()) == 41 ** 4
+    assert _canonical(loads_graph(dumps_graph(lb))) == _canonical(lb)
+
+
+def test_fingerprint_separates_weights_past_six_digits():
+    g = WeightedGraph([(0, 1, 1 / 3), (1, 2, 1234567.0)])
+    h = WeightedGraph([(0, 1, 0.3333334), (1, 2, 1234567.4)])
+    assert graph_fingerprint(g) != graph_fingerprint(h)
+
+
+def test_golden_trace_fingerprints_are_unchanged():
+    # The short form is kept wherever it is exact, so the generators'
+    # graphs serialize as they always did and pinned headers still match.
+    from repro.experiments.chaos import RunSpec, case_of
+
+    pinned = {
+        "broadcast_clean.jsonl": "55929b3a686e1280",
+        "broadcast_lossy.jsonl": "55929b3a686e1280",
+        "dfs_crash_recover.jsonl": "55929b3a686e1280",
+        "gamma_w_max.jsonl": "b78f5a50e58f438a",
+    }
+    assert sorted(p.name for p in GOLDEN.glob("*.jsonl")) == sorted(pinned)
+    for name, fp in pinned.items():
+        with open(GOLDEN / name) as fh:
+            header = json.loads(fh.readline())["replay"]
+        assert header.pop("graph_fp") == fp
+        graph = case_of(RunSpec.from_dict(header)).graph
+        assert graph_fingerprint(graph) == fp, name
 
 
 # --------------------------------------------------------------------- #

@@ -70,16 +70,16 @@ def test_parallel_plan_pool_chunksize_is_adaptive():
 
 
 def test_run_parallel_force_pool_matches_serial_rows():
-    # Exercise the real pool path (warm initializer included) even on
-    # hosts where the plan would fall back to serial, and prove the rows
-    # are byte-identical to the in-process reference.
+    # Exercise the real pool path (references shipped with the tasks)
+    # even on hosts where the plan would fall back to serial, and prove
+    # the rows are byte-identical to the in-process reference.
     shutdown_pool()
     try:
         kw = dict(n=10, extra_edges=12, graph_seed=4, drop_rates=(0.0, 0.2))
         serial = chaos_rows(jobs=1, **kw)
         pooled = chaos_rows(jobs=2, force="pool", **kw)
         assert pooled == serial
-        # The persistent pool is reused (and its warm caches with it).
+        # The persistent pool is reused (and its workers' memos with it).
         again = chaos_rows(jobs=2, force="pool", **kw)
         assert again == serial
     finally:

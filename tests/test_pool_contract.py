@@ -1,0 +1,180 @@
+"""The persistent pool's contract (repro.experiments.parallel).
+
+One pool per ``(jobs, kernel backend)`` serves every sweep: chaos sweeps
+over any graph shape and snapshot sweeps over any published handle.  Its
+workers simulate nothing outside their cells (the dispatcher computes
+the fault-free references and the tasks carry them), a long-lived worker
+keeps a bounded number of snapshot attachments, and a broken pool is
+replaced without unlinking the snapshots a sweep is reading.
+"""
+
+import os
+
+import pytest
+
+from repro.experiments import chaos, parallel
+from repro.experiments.chaos import RunSpec
+from repro.experiments.parallel import (
+    chaos_cells,
+    chaos_rows,
+    run_chaos_cell,
+    run_parallel,
+    run_snapshot_cell,
+    shutdown_pool,
+    snapshot_cells,
+    snapshot_rows,
+)
+from repro.graphs import (
+    param_cache,
+    random_connected_flat,
+    random_connected_graph,
+    shm_available,
+)
+from repro.graphs import shm
+
+needs_shm = pytest.mark.skipif(not shm_available(),
+                               reason="no shared memory on this platform")
+
+#: The test process; a cell that sees another pid runs in a pool worker.
+_PARENT = os.getpid()
+_run_chaos = chaos.run_chaos
+#: The most snapshot attachments one process keeps.
+_ATTACH_BOUND = 8
+# Per-process tallies, read back from the workers by _tally.
+_calls = [0]
+_cells = [0]
+
+
+@pytest.fixture(autouse=True)
+def _fresh_pool():
+    shutdown_pool()
+    shm.reset_for_tests()
+    yield
+    shutdown_pool()
+    shm.reset_for_tests()
+
+
+def _spy_run_chaos(*args, **kwargs):
+    _calls[0] += 1
+    return _run_chaos(*args, **kwargs)
+
+
+def _counted_cell(spec):
+    _cells[0] += 1
+    return run_chaos_cell(spec)
+
+
+def _tally(_):
+    return os.getpid(), _calls[0], _cells[0]
+
+
+def _worker_state(_):
+    return (os.getpid(), len(os.listdir("/proc/self/fd")), len(shm._attached),
+            shm.stats()["shm_attaches"])
+
+
+def _die_in_worker(cell):
+    if os.getpid() != _PARENT:
+        os._exit(1)
+    if isinstance(cell, RunSpec):
+        return run_chaos_cell(cell)
+    return run_snapshot_cell(cell)
+
+
+def _per_worker(fn, jobs=2):
+    """``fn``'s answer from every worker of the live pool, by pid."""
+    answers = {}
+    for _ in range(50):
+        for row in run_parallel(fn, range(4 * jobs), jobs=jobs, force="pool",
+                                chunksize=1):
+            answers.setdefault(row[0], row[1:])
+        if len(answers) == jobs:
+            return answers
+    pytest.fail(f"only workers {sorted(answers)} answered")
+
+
+@needs_shm
+def test_one_pool_serves_every_shape_and_snapshot():
+    handles = [shm.publish(random_connected_flat(300, 400, seed=s))
+               for s in (1, 2)]
+    pool = None
+    for n, extra_edges, graph_seed in ((10, 12, 4), (12, 10, 9)):
+        kw = dict(n=n, extra_edges=extra_edges, graph_seed=graph_seed,
+                  drop_rates=(0.0, 0.2))
+        pooled = chaos_rows(jobs=2, force="pool", **kw)
+        pool = pool or parallel._pool
+        assert parallel._pool is pool
+        assert pooled == chaos_rows(jobs=1, **kw)
+    for handle in handles:
+        for kind in ("stripe", "sources"):
+            kw = dict(kind=kind, limit=40, cell_size=4)
+            pooled = snapshot_rows(handle, jobs=2, force="pool", **kw)
+            assert parallel._pool is pool
+            assert pooled == snapshot_rows(handle, force="serial", **kw)
+
+
+def test_workers_simulate_only_their_cells(monkeypatch):
+    # Installed before the pool forks, so every worker inherits both; the
+    # sweep's shape is new to the live pool, so its workers can only get
+    # the references from the tasks (or run them themselves).
+    monkeypatch.setattr(chaos, "run_chaos", _spy_run_chaos)
+    monkeypatch.setattr(parallel, "run_chaos_cell", _counted_cell)
+    before = _per_worker(_tally)
+    pool = parallel._pool
+    kw = dict(n=11, extra_edges=9, graph_seed=6, drop_rates=(0.0, 0.2))
+    pooled = chaos_rows(jobs=2, force="pool", **kw)
+    after = _per_worker(_tally)
+    assert parallel._pool is pool and set(after) == set(before)
+    ran = {pid: after[pid][1] - before[pid][1] for pid in after}
+    assert sum(ran.values()) == len(pooled)
+    for pid, cells in ran.items():
+        assert after[pid][0] - before[pid][0] == cells
+    assert pooled == chaos_rows(jobs=1, **kw)
+
+
+@needs_shm
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_a_long_lived_worker_keeps_a_bounded_set_of_attachments():
+    handles = [shm.publish(random_connected_flat(60, 60, seed=s))
+               for s in range(3 * _ATTACH_BOUND)]
+    before = _per_worker(_worker_state)
+    pool = parallel._pool
+    for handle in handles:
+        rows = snapshot_rows(handle, jobs=2, force="pool", kind="stripe",
+                             cell_size=10)
+        assert rows == snapshot_rows(handle, force="serial", kind="stripe",
+                                     cell_size=10)
+    after = _per_worker(_worker_state)
+    assert parallel._pool is pool
+    assert set(after) == set(before)
+    for pid, (fds, attached, _attaches) in after.items():
+        assert attached <= _ATTACH_BOUND
+        assert fds - before[pid][0] <= 16
+    # Each sweep attached its snapshot in some worker: eviction happened.
+    assert max(attaches for _f, _a, attaches in after.values()) \
+        > _ATTACH_BOUND
+
+
+@needs_shm
+def test_a_broken_pool_reruns_serially_and_keeps_the_snapshots():
+    chaos_sweep = chaos_cells(n=10, extra_edges=12, graph_seed=4,
+                              drop_rates=(0.0, 0.2))
+    handle = shm.publish(
+        param_cache(random_connected_graph(200, 200, seed=4)).flat())
+    assert handle.spec is None  # a serial re-run cannot rebuild it
+    snapshot_sweep = snapshot_cells(handle, kind="stripe", cell_size=20)
+    for cells, warm, run_cell in (
+            (chaos_sweep, ((10, 12, 4, None),), run_chaos_cell),
+            (snapshot_sweep, (), run_snapshot_cell)):
+        rows = run_parallel(_die_in_worker, cells, jobs=2, force="pool",
+                            warm=warm)
+        assert rows == [run_cell(c) for c in cells]
+        assert parallel._pool is None
+    stats = shm.stats()
+    assert stats["shm_rebuilds"] == 0 and stats["shm_failures"] == 0
+    assert handle.segment in os.listdir("/dev/shm")
+    assert snapshot_rows(handle, jobs=2, force="pool", kind="stripe",
+                         cell_size=20) == [run_snapshot_cell(c)
+                                           for c in snapshot_sweep]
+    assert parallel._pool is not None

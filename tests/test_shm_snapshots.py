@@ -246,8 +246,8 @@ def test_pool_rebuild_does_not_unlink_segments():
     flat = random_connected_flat(200, 300, seed=3)
     handle = shm.publish(flat, key="keep")
     snapshot_rows(handle, kind="stripe", cell_size=50, force="pool", jobs=2)
-    # An internal pool key change (e.g. a different warm spec) disposes
-    # the executor but must leave published segments alone.
+    # An internal disposal (a kernel-backend change, or a broken pool)
+    # drops the executor but must leave published segments alone.
     _dispose_pool()
     assert _segment_exists(handle.segment)
     # The public teardown unlinks.
