@@ -9,6 +9,8 @@ checks the service contract end to end:
   exact expected hit count (the content-addressed dedupe ledger);
 * every cached response is **byte-identical** to its cold counterpart
   (``payload_bytes`` equality per address);
+* the first replay of the mix, all cache hits, is at least
+  ``HIT_SPEEDUP`` times faster than its cold pass;
 * malformed requests come back as clean error lines, not disconnects;
 * after SIGTERM the server drains, exits 0, and leaves **zero** leaked
   ``rshm-*`` shared-memory segments in ``/dev/shm``.
@@ -42,6 +44,8 @@ MIX = [
     for p in ("broadcast", "dfs")
     for drop in (0.0, 0.2)
 ]
+#: How many times faster than its cold pass the mix's first replay must be.
+HIT_SPEEDUP = 5.0
 TRACE = {"kind": "trace", "protocol": "dfs", "n": 8, "extra_edges": 6,
          "graph_seed": 3, "backend": "python"}
 
@@ -86,22 +90,32 @@ def main(argv: list[str] | None = None) -> int:
 
         # Cold pass, then a duplicate-heavy replay: 2x each address.
         cold = {}
+        t0 = time.perf_counter()
         for request in MIX:
             resp = client.request(request)
             if resp["cached"]:
                 fail(f"first serve of {resp['address'][:12]} claimed cached")
             cold[resp["address"]] = resp
+        cold_s = time.perf_counter() - t0
         byte_identical = True
-        for request in MIX * 2:
-            resp = client.request(request)
-            if resp["source"] != "cache":
-                fail(f"replay of {resp['address'][:12]} was {resp['source']}")
-            prior = cold[resp["address"]]
-            if (payload_bytes(resp["payload"]) != payload_bytes(prior["payload"])
-                    or resp["payload_sha"] != prior["payload_sha"]):
-                byte_identical = False
+        replay_s = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            for request in MIX:
+                resp = client.request(request)
+                if resp["source"] != "cache":
+                    fail(f"replay of {resp['address'][:12]} was {resp['source']}")
+                prior = cold[resp["address"]]
+                if (payload_bytes(resp["payload"]) != payload_bytes(prior["payload"])
+                        or resp["payload_sha"] != prior["payload_sha"]):
+                    byte_identical = False
+            replay_s.append(time.perf_counter() - t0)
         if not byte_identical:
             fail("cached response not byte-identical to cold")
+        hit_speedup = cold_s / replay_s[0]
+        if hit_speedup < HIT_SPEEDUP:
+            fail(f"cache replay only x{hit_speedup:.1f} faster than the cold "
+                 f"pass (floor x{HIT_SPEEDUP:g})")
 
         # A streamed (chunked) trace round-trips and caches too.
         t_cold = client.request(TRACE)
@@ -150,12 +164,15 @@ def main(argv: list[str] | None = None) -> int:
         "requests": {"mix": len(MIX), "hits": stats["hits"],
                      "misses": stats["misses"]},
         "byte_identical": byte_identical,
+        "hit_speedup": hit_speedup,
         "leaked_segments": leaked,
         "server_output_tail": out.splitlines()[-5:],
     }
     path = args.out_dir / "serve_smoke.json"
     path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     print(f"serve smoke OK: hits={stats['hits']} misses={stats['misses']} "
+          f"hit ratio {stats['hits'] / stats['served']:.2f}, "
+          f"replay x{hit_speedup:.1f} faster than cold, "
           f"p50={stats['p50_ms']:.1f}ms p99={stats['p99_ms']:.1f}ms, "
           f"0 leaked segments; wrote {path}")
     return 0

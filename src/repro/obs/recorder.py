@@ -40,9 +40,9 @@ sequence number, ``counts`` and ``dropped``.
 
 **Disabled-path cost.**  :class:`NullRecorder` is API-compatible and
 inert; :class:`~repro.sim.network.Network` normalizes any recorder with
-``enabled=False`` to "no recorder", so the untraced hot path pays exactly
-one ``is None`` check per event (benchmarked < 2% in
-``scripts/bench.py``, see ``docs/OBSERVABILITY.md``).
+``enabled=False`` to "no recorder", so a disabled recorder's network
+takes the same send path as a recorder-free one and pays exactly one
+``is None`` check per event (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations

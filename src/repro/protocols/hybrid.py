@@ -36,7 +36,7 @@ from typing import Any
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
 from .dfs import run_dfs
-from .full_info import run_mst_centr
+from .full_info import _run_growth, prim_order
 from .mst_ghs import run_mst_ghs
 from .spt_recur import run_spt_recur
 from .spt_synch import run_spt_synch
@@ -114,6 +114,28 @@ def _initial_budget(graph: WeightedGraph) -> float:
     return float(max(8, graph.num_vertices))
 
 
+def _centr_attempt(graph: WeightedGraph, root: Vertex,
+                   delay: DelayModel | None, seed: int) -> Attempt:
+    """One race's MST_centr attempts (what ``run_mst_centr`` runs).
+
+    The Prim order depends only on (graph, root), so the race's first
+    MST_centr attempt computes it and its later attempts reuse it.  It is
+    not computed before that attempt: a race won before MST_centr ever
+    runs must not fail on a graph Prim rejects (a disconnected one).
+    """
+    order: list[tuple[Vertex, Vertex]] | None = None
+
+    def attempt(budget: float):
+        nonlocal order
+        if order is None:
+            order = prim_order(graph, root)
+        result, tree = _run_growth(graph, root, order, "MST_centr",
+                                   delay=delay, seed=seed, budget=budget)
+        return result.comm_cost, result.time, tree
+
+    return attempt
+
+
 def run_con_hybrid(
     graph: WeightedGraph,
     root: Vertex,
@@ -133,13 +155,9 @@ def run_con_hybrid(
                                budget=budget)
         return result.comm_cost, result.time, tree
 
-    def centr_attempt(budget: float):
-        result, tree = run_mst_centr(graph, root, delay=delay, seed=seed,
-                                     budget=budget)
-        return result.comm_cost, result.time, tree
-
     return race(
-        {"DFS": dfs_attempt, "MST_centr": centr_attempt},
+        {"DFS": dfs_attempt,
+         "MST_centr": _centr_attempt(graph, root, delay, seed)},
         _initial_budget(graph),
     )
 
@@ -161,13 +179,9 @@ def run_mst_hybrid(
                                    budget=budget)
         return result.comm_cost, result.time, tree
 
-    def centr_attempt(budget: float):
-        result, tree = run_mst_centr(graph, root, delay=delay, seed=seed,
-                                     budget=budget)
-        return result.comm_cost, result.time, tree
-
     return race(
-        {"MST_ghs": ghs_attempt, "MST_centr": centr_attempt},
+        {"MST_ghs": ghs_attempt,
+         "MST_centr": _centr_attempt(graph, root, delay, seed)},
         _initial_budget(graph),
     )
 

@@ -24,8 +24,7 @@ events land in a fresh same-time batch that the drain loop picks up
 next; :meth:`step` keeps the batch live and appends.  Observable firing
 order is the same either way.)
 
-Three design points matter for throughput (see docs/PERF.md and
-``scripts/bench.py``):
+Three design points matter for throughput (see docs/PERF.md):
 
 * ``schedule_call`` / ``schedule_call_at`` store the callable and its
   argument tuple directly in the event's slots instead of forcing callers
@@ -41,7 +40,7 @@ Three design points matter for throughput (see docs/PERF.md and
 
 The scheduling methods repeat the small push body instead of sharing a
 helper: one extra method call per scheduled event is measurable at the
-rates ``scripts/bench.py`` tracks.
+event rates of the benchmark's protocol-suite workload.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.graphs.csr import (
     csr_prim_mst,
     sssp_maps,
 )
-from repro.graphs.mst import kruskal_mst_dicts, prim_mst_dicts
+from tests.mst_oracles import kruskal_mst_dicts, prim_mst_dicts
 
 INF = float("inf")
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.graphs import (
+    WeightedGraph,
     lower_bound_graph,
     mst_weight,
     network_params,
@@ -12,6 +13,7 @@ from repro.graphs import (
     random_connected_graph,
     tree_distances,
 )
+from repro.graphs import csr
 from repro.protocols.hybrid import (
     race,
     run_con_hybrid,
@@ -111,6 +113,40 @@ def test_mst_hybrid_ghs_wins_when_light():
     g = random_connected_graph(30, 120, seed=4, max_weight=3)
     outcome = run_mst_hybrid(g, 0)
     assert outcome.winner == "MST_ghs"
+
+
+def test_race_computes_the_prim_order_once(monkeypatch):
+    # Every MST_centr attempt of a race grows the same Prim order; the
+    # race computes it on its first MST_centr attempt and reuses it.
+    calls = []
+    real = csr.csr_prim_mst
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(csr, "csr_prim_mst", spy)
+    g = random_connected_graph(256, 256, seed=1)
+    for run, attempts in ((run_mst_hybrid, 7), (run_con_hybrid, 6)):
+        calls.clear()
+        outcome = run(g, 0, seed=1)
+        centr = [h for h in outcome.history if h[0] == "MST_centr"]
+        assert len(centr) == attempts
+        assert len(calls) == 1
+
+
+def test_disconnected_graph_outcomes():
+    # DFS wins CON_hybrid's first round, before MST_centr asks Prim for an
+    # order that does not exist; MST_hybrid's first MST_centr attempt does.
+    g = WeightedGraph()
+    g.add_edge(0, 1, 1)
+    g.add_edge(1, 2, 1)
+    g.add_edge(3, 4, 1)
+    outcome = run_con_hybrid(g, 0)
+    assert (outcome.winner, outcome.rounds) == ("DFS", 1)
+    assert sorted(outcome.output.edges()) == [(0, 1, 1), (1, 2, 1)]
+    with pytest.raises(ValueError, match="not connected"):
+        run_mst_hybrid(g, 0)
 
 
 # --------------------------------------------------------------------- #

@@ -51,7 +51,7 @@ from repro.graphs.csr import (
     flat_source_stats,
     sssp_maps,
 )
-from repro.graphs.mst import kruskal_mst_dicts, prim_mst_dicts
+from tests.mst_oracles import kruskal_mst_dicts, prim_mst_dicts
 
 requires_numpy = pytest.mark.skipif(
     not npk.numpy_available(), reason="numpy not installed"

@@ -100,6 +100,14 @@ def test_null_recorder_is_normalized_away():
     with rec.span("anything"):
         assert rec.span_of(0) == ""
     assert rec.record_send(0.0, 0, 1, "x", 1.0) == -1
+    # So a disabled recorder costs nothing by construction: its network
+    # takes the recorder-free send path, and untraced, disabled and
+    # recording floods send the same messages.
+    graph = random_connected_graph(24, 48, seed=11)
+    runs = [flood_run(graph, recorder=r)
+            for r in (None, NullRecorder(), TraceRecorder())]
+    assert runs[1][0]._send_path == runs[0][0]._send_path
+    assert len({result.message_count for _, result in runs}) == 1
 
 
 def test_trace_callback_and_recorder_compose():

@@ -89,23 +89,26 @@ def test_cached_trace_payload_still_verifies(client):
 # --------------------------------------------------------------------- #
 
 def test_single_flight_counts_exactly(client):
-    n = 5
-    responses = client.request_many([dict(REQUESTS["chaos"])] * n)
-    sources = sorted(r["source"] for r in responses)
-    assert sources == ["coalesced"] * (n - 1) + ["executed"]
-    shas = {r["payload_sha"] for r in responses}
-    assert len(shas) == 1
-    stats = client.stats()
-    assert stats["misses"] == 1
-    assert stats["coalesced"] == n - 1
-    assert stats["hits"] == 0
-    # Replaying the same batch is now pure cache hits — exact count.
-    replay = client.request_many([dict(REQUESTS["chaos"])] * n)
-    assert all(r["source"] == "cache" for r in replay)
-    stats = client.stats()
-    assert stats["hits"] == n
-    assert stats["misses"] == 1 and stats["coalesced"] == n - 1
-    assert stats["served"] == 2 * n
+    expected = {"misses": 0, "coalesced": 0, "hits": 0, "served": 0}
+    for n, graph_seed in ((5, 3), (8, 4)):
+        request = dict(REQUESTS["chaos"], graph_seed=graph_seed)
+        responses = client.request_many([dict(request)] * n)
+        sources = sorted(r["source"] for r in responses)
+        assert sources == ["coalesced"] * (n - 1) + ["executed"]
+        shas = {r["payload_sha"] for r in responses}
+        assert len(shas) == 1
+        expected["misses"] += 1
+        expected["coalesced"] += n - 1
+        expected["served"] += n
+        stats = client.stats()
+        assert {k: stats[k] for k in expected} == expected
+        # Replaying the same batch is now pure cache hits — exact count.
+        replay = client.request_many([dict(request)] * n)
+        assert all(r["source"] == "cache" for r in replay)
+        expected["hits"] += n
+        expected["served"] += n
+        stats = client.stats()
+        assert {k: stats[k] for k in expected} == expected
 
 
 def test_equivalent_spellings_share_one_execution(client):
