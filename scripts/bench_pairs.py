@@ -63,9 +63,9 @@ def git(*args: str) -> str:
 def worktrees(parent: str):
     """Detached worktrees of ``parent`` and ``HEAD``, removed on exit."""
     root = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    trees = {"parent": root / "parent", "change": root / "change"}
+    trees = {side: root / side for side in SIDES}
     try:
-        for side, rev in (("parent", parent), ("change", "HEAD")):
+        for side, rev in zip(SIDES, (parent, "HEAD")):
             git("worktree", "add", "--detach", str(trees[side]), rev)
         yield trees
     finally:
@@ -186,7 +186,8 @@ def report(runs: dict, end_to_end: list[dict]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("usage: python scripts/bench_pairs.py <parent-rev>",
+              file=sys.stderr)
         return 2
     parent = git("rev-parse", "--short", "--verify", f"{args[0]}^{{commit}}")
     rev = git("rev-parse", "--short", "HEAD")

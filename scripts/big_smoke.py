@@ -70,7 +70,7 @@ JOBS = 2
 # so their sources pin the heap kernel (docs/PERF.md, "Work model").
 RANDOM_KERNEL = "numpy" if numpy_available() else "python"
 # (label, peak-RSS budget in MB, stripe cells per sweep,
-#  {family: (builder, sources, sources kernel)})
+#  {family: (build, sources, sources kernel)})
 SIZES = (
     ("n=10^4", 512, 1_000, {
         "lower_bound": (lambda: lower_bound_flat(10_000), 4, "python"),
@@ -128,11 +128,11 @@ def numpy_scan() -> None:
     check(geomean > 1.0, f"numpy scan geomean x{geomean:.2f} is not above 1")
 
 
-def family(name: str, builder, sources: int, kernel: str,
+def family(name: str, build, sources: int, kernel: str,
            cells: int) -> str:
     """Build, publish and sweep one family; return its segment name."""
     creates = shm.stats()["shm_creates"]
-    build_s, flat = timed(builder)
+    build_s, flat = timed(build)
     publish_s, handle = timed(lambda: shm.publish(flat, key=f"big-{name}"))
     check(shm.stats()["shm_creates"] - creates == 1,
           f"{name}: published {shm.stats()['shm_creates'] - creates} "
@@ -187,8 +187,8 @@ def main() -> int:
     traced_flood()
     for label, budget_mb, cells, families in SIZES:
         print(f"big tier {label}:")
-        segments = [family(name, builder, sources, kernel, cells)
-                    for name, (builder, sources, kernel) in families.items()]
+        segments = [family(name, build, sources, kernel, cells)
+                    for name, (build, sources, kernel) in families.items()]
         shutdown_pool()
         left = [s for s in segments if os.path.exists(f"/dev/shm/{s}")]
         check(not left, f"{label}: segments left after shutdown: {left}")

@@ -1,7 +1,7 @@
 """Correctness tooling for the determinism contract (``repro.analysis``).
 
 Everything the perf and chaos subsystems guarantee — serial == pool sweep
-rows, byte-identical trace fingerprints, the bench ``--compare`` gate —
+rows, byte-identical trace fingerprints, pinned serve addresses —
 assumes each simulation is a pure function of its seeds.  This package
 *enforces* the coding rules that make that true, in the spirit of the
 distributed-verification line of work the paper's MST section builds on:

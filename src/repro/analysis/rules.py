@@ -1,7 +1,7 @@
 """AST rules for the protocol determinism linter.
 
 Every guarantee the test-suite pins byte-for-byte (serial == pool sweep
-rows, trace fingerprints, the bench ``--compare`` gate) rests on the
+rows, trace fingerprints, pinned serve addresses) rests on the
 simulation being a pure function of its seeds.  These rules flag the code
 patterns that silently break that purity:
 

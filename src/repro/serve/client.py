@@ -66,7 +66,7 @@ class ServeClient:
     def request_many(self, requests: list[dict]) -> list[dict]:
         """Submit ``requests`` *concurrently* and return responses in
         order.  Identical requests in the batch coalesce onto a single
-        execution — the duplicate-heavy path the bench measures."""
+        execution — the duplicate-heavy path the single-flight tests pin."""
 
         async def gather() -> list[dict]:
             return await asyncio.gather(
