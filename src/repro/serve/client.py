@@ -6,24 +6,27 @@ dedicated background event loop thread, so synchronous code — tests, the
 bench harness — gets the full async semantics (single-flight coalescing,
 admission, graceful shutdown) without running a server or an event loop
 of its own.  ``request_many`` submits a batch concurrently, which is how
-the coalescing bench produces N simultaneous duplicates.
+the coalescing bench produces N simultaneous duplicates.  Both clients
+decode ``payload`` from the payload's canonical bytes (``body``) once.
 
 ``TCPServeClient`` is a deliberately dumb blocking-socket client for the
-JSONL wire protocol (:mod:`repro.serve.server`): it reassembles streamed
-rows/chunks into the payload and re-verifies the payload SHA-256 the
-server announced in its ``end`` line — transport integrity checked at
-the edge, same as the store checks at rest.
+wire protocol (:mod:`repro.serve.server`): it reads the ``meta`` line
+and the ``nbytes`` frame after it, and re-verifies the SHA-256 the
+server announced over the bytes it received before decoding them —
+transport integrity checked at the edge, same as the store checks at
+rest.  A frame cut short, by a closed connection or a read timeout, is a
+:class:`~repro.serve.service.ServeError`, never a partial payload.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import socket
 import threading
 from typing import Any
 
-from .address import payload_sha
 from .service import ServeError, ServeService
 
 __all__ = ["ServeClient", "TCPServeClient"]
@@ -59,9 +62,10 @@ class ServeClient:
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     def request(self, request: dict) -> dict:
-        """Serve one request; returns the response envelope
-        (:meth:`ServeService.submit`)."""
-        return self._run(self.service.submit(request))
+        """Serve one request; returns the service's response
+        (:meth:`ServeService.submit`) with ``payload`` decoded from its
+        ``body``."""
+        return _decoded(self._run(self.service.submit(request)))
 
     def request_many(self, requests: list[dict]) -> list[dict]:
         """Submit ``requests`` *concurrently* and return responses in
@@ -73,7 +77,7 @@ class ServeClient:
                 *(self.service.submit(r) for r in requests)
             )
 
-        return self._run(gather())
+        return [_decoded(r) for r in self._run(gather())]
 
     def stats(self) -> dict:
         """The service's merged stats block."""
@@ -98,78 +102,70 @@ class ServeClient:
 
 
 class TCPServeClient:
-    """Blocking JSONL client for ``python -m repro.serve``."""
+    """Blocking client for ``python -m repro.serve``."""
 
     def __init__(self, host: str, port: int, *, timeout: float = 300.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rwb")
 
-    def _roundtrip_lines(self, doc: dict) -> Any:
+    def _send(self, doc: dict) -> None:
         self._file.write((json.dumps(doc) + "\n").encode())
         self._file.flush()
-        while True:
-            raw = self._file.readline()
-            if not raw:
-                raise ServeError("server closed the connection mid-response")
-            yield json.loads(raw)
+
+    def _read(self, nbytes: int | None = None) -> bytes:
+        """One line, or exactly ``nbytes`` bytes; ServeError if the
+        connection ends or times out first."""
+        try:
+            data = self._file.readline() if nbytes is None else self._file.read(nbytes)
+        except OSError as exc:  # a timeout included
+            raise ServeError(f"connection failed mid-response: {exc}") from exc
+        if (not data) if nbytes is None else len(data) != nbytes:
+            raise ServeError("server closed the connection mid-response")
+        return data
+
+    def _read_doc(self) -> dict:
+        raw = self._read()
+        try:
+            doc = json.loads(raw)
+        except ValueError as exc:
+            raise ServeError(f"malformed response line: {raw[:80]!r}") from exc
+        if doc.get("type") == "error":
+            raise ServeError(doc.get("error", "unknown server error"))
+        return doc
 
     def request(self, request: dict) -> dict:
-        """Send one request; reassemble the streamed response.
+        """Send one request; read, verify and decode its frame.
 
-        Returns ``{"address", "kind", "source", "cached", "payload",
-        "payload_sha", "rows", "chunks"}``; raises :class:`ServeError` on
-        an error line or on a payload that fails SHA re-verification.
+        Returns ``{"address", "kind", "source", "cached", "payload_sha",
+        "nbytes", "body", "payload"}``; raises :class:`ServeError` on an
+        error line, on a frame cut short and on a frame that fails SHA-256
+        re-verification.
         """
-        meta: dict | None = None
-        rows: list[Any] = []
-        chunks: list[str] = []
-        for doc in self._roundtrip_lines(request):
-            kind = doc.get("type")
-            if kind == "error":
-                raise ServeError(doc.get("error", "unknown server error"))
-            if kind == "meta":
-                meta = doc
-            elif kind == "row":
-                rows.append(doc["data"])
-            elif kind == "chunk":
-                chunks.append(doc["data"])
-            elif kind == "end":
-                assert meta is not None, "end before meta"
-                if meta["kind"] == "trace":
-                    payload: Any = "".join(chunks)
-                elif meta["kind"] == "chaos":
-                    payload = rows[0]
-                else:
-                    payload = rows
-                if payload_sha(payload) != doc["payload_sha"]:
-                    raise ServeError(
-                        "payload failed integrity re-verification in transit"
-                    )
-                return {
-                    "address": meta["address"],
-                    "kind": meta["kind"],
-                    "source": meta["source"],
-                    "cached": meta["cached"],
-                    "payload": payload,
-                    "payload_sha": doc["payload_sha"],
-                    "rows": doc["rows"],
-                    "chunks": doc["chunks"],
-                }
-            else:
-                raise ServeError(f"unexpected response line {kind!r}")
-        raise ServeError("response ended without an end line")
+        self._send(request)
+        meta = self._read_doc()
+        if meta.get("type") != "meta":
+            raise ServeError(f"unexpected response line {meta.get('type')!r}")
+        body = self._read(meta["nbytes"])
+        if hashlib.sha256(body).hexdigest() != meta["payload_sha"]:
+            raise ServeError("payload failed integrity re-verification in transit")
+        return {
+            "address": meta["address"],
+            "kind": meta["kind"],
+            "source": meta["source"],
+            "cached": meta["cached"],
+            "payload_sha": meta["payload_sha"],
+            "nbytes": meta["nbytes"],
+            "body": body,
+            "payload": json.loads(body),
+        }
 
     def stats(self) -> dict:
-        for doc in self._roundtrip_lines({"op": "stats"}):
-            if doc.get("type") == "error":
-                raise ServeError(doc["error"])
-            return doc["stats"]
-        raise ServeError("no stats response")
+        self._send({"op": "stats"})
+        return self._read_doc()["stats"]
 
     def ping(self) -> dict:
-        for doc in self._roundtrip_lines({"op": "ping"}):
-            return doc
-        raise ServeError("no ping response")
+        self._send({"op": "ping"})
+        return self._read_doc()
 
     def close(self) -> None:
         try:
@@ -182,3 +178,8 @@ class TCPServeClient:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+def _decoded(response: dict) -> dict:
+    response["payload"] = json.loads(response["body"])
+    return response

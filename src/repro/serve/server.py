@@ -6,20 +6,22 @@ connection):
 * client sends one line: either a request dict (see
   :mod:`repro.serve.address`) or an op — ``{"op": "stats"}`` /
   ``{"op": "ping"}``;
-* the server streams the response as JSONL chunks::
+* the server answers a request with one ``meta`` line followed by a
+  frame of exactly ``nbytes`` raw bytes, the payload's canonical bytes
+  (:func:`~repro.serve.address.payload_bytes`) as the store keeps them::
 
-      {"type": "meta", "address": ..., "kind": ..., "source": ..., "cached": ...}
-      {"type": "row", "i": 0, "data": {...}}        # row-list payloads
-      {"type": "chunk", "data": "..."}              # string (trace) payloads
-      {"type": "end", "payload_sha": ..., "rows": N, "chunks": N}
+      {"type": "meta", "address": ..., "kind": ..., "source": ..., "cached": ...,
+       "payload_sha": ..., "nbytes": N}
+      <N bytes>
 
   or a single ``{"type": "error", "error": "..."}`` line; ops answer with
   one ``{"type": "stats"|"pong", ...}`` line.
 
-Rows stream as they are written, so a million-row sweep response never
-materializes twice server-side; trace documents chunk at a fixed size.
-Malformed JSON or oversized request lines produce an error line, never a
-dead connection.
+A cache hit is served as the bytes the store verified, never decoded or
+re-encoded here; the client checks ``payload_sha`` over the frame it
+received.  Malformed JSON gets an error line, and so does a request line
+longer than :data:`MAX_REQUEST_BYTES`: its input is discarded up to its
+newline and the connection stays open.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ import json
 from .address import RequestError
 from .service import ServeError, ServeService
 
-__all__ = ["ServeServer", "CHUNK_CHARS", "MAX_REQUEST_BYTES"]
-
-#: Trace payloads stream in chunks of this many characters.
-CHUNK_CHARS = 32768
+__all__ = ["ServeServer", "MAX_REQUEST_BYTES"]
 
 #: Upper bound on one request line (a request is a few hundred bytes of
 #: knobs; anything bigger is a client bug, not a workload).
@@ -86,12 +85,12 @@ class ServeServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                try:
-                    raw = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
+                raw = await _read_line(reader)
+                if raw is None:
                     writer.write(_line({"type": "error",
                                         "error": "request line too long"}))
-                    break
+                    await writer.drain()
+                    continue
                 if not raw:
                     break
                 try:
@@ -142,30 +141,33 @@ class ServeServer:
                                 "error": str(exc),
                                 "error_kind": type(exc).__name__}))
             return
+        body = response["body"]
         writer.write(_line({
             "type": "meta",
             "address": response["address"],
             "kind": response["kind"],
             "source": response["source"],
             "cached": response["cached"],
+            "payload_sha": response["payload_sha"],
+            "nbytes": len(body),
         }))
-        payload = response["payload"]
-        rows = chunks = 0
-        if isinstance(payload, list):
-            for i, row in enumerate(payload):
-                writer.write(_line({"type": "row", "i": i, "data": row}))
-                rows += 1
-                if rows % 256 == 0:
-                    await writer.drain()  # stream, don't buffer the sweep
-        elif isinstance(payload, str):
-            for lo in range(0, len(payload), CHUNK_CHARS):
-                writer.write(_line({"type": "chunk",
-                                    "data": payload[lo:lo + CHUNK_CHARS]}))
-                chunks += 1
-                await writer.drain()
-        else:
-            writer.write(_line({"type": "row", "i": 0, "data": payload}))
-            rows = 1
-        writer.write(_line({"type": "end",
-                            "payload_sha": response["payload_sha"],
-                            "rows": rows, "chunks": chunks}))
+        writer.write(body)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at end of input), or ``None`` for a
+    line longer than :data:`MAX_REQUEST_BYTES`, which is read and
+    discarded up to its newline so the next line parses cleanly."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # end of input, maybe after a last bare line
+        except asyncio.LimitOverrunError as exc:
+            # The newline is not within the limit: drop what is buffered
+            # of this line (up to the newline if it has arrived) and go on.
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        return None if oversized else line

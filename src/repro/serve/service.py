@@ -4,7 +4,7 @@ Request lifecycle::
 
     submit(request)
       -> canonicalize + address          (RequestError on bad requests)
-      -> persistent store lookup         (hit: integrity-checked envelope)
+      -> persistent store lookup         (hit: integrity-checked bytes)
       -> in-flight table lookup          (coalesce onto the running job)
       -> capacity-limited admission      (ServeError when over capacity)
       -> execute on the engine           (in a thread; pool fan-out inside)
@@ -12,7 +12,7 @@ Request lifecycle::
 
 **Single-flight**: identical requests that arrive while one is executing
 await the same future — one execution, N responses, ``coalesced`` counted
-per joined waiter.  In-flight futures resolve to ``("ok", envelope)`` /
+per joined waiter.  In-flight futures resolve to ``("ok", stored)`` /
 ``("err", message)`` tuples rather than raw exceptions so an abandoned
 waiter can never trip asyncio's unretrieved-exception warning.
 
@@ -41,7 +41,7 @@ from typing import Any
 from .address import request_address
 from .executor import execute_request
 from .stats import ServeStats
-from .store import ResultStore
+from .store import ResultStore, StoredResult
 
 __all__ = ["ServeError", "ServeService"]
 
@@ -98,13 +98,14 @@ class ServeService:
     # ------------------------------------------------------------------ #
 
     async def submit(self, request: dict) -> dict:
-        """Serve one request; returns a response envelope.
+        """Serve one request; returns a response dict.
 
-        The envelope carries ``address``, ``kind``, ``payload``,
-        ``payload_sha``, and a ``source`` field naming which path
+        The response carries ``address``, ``kind``, ``payload_sha``,
+        ``body`` (the payload's canonical bytes, as the store keeps them;
+        never parsed here), and a ``source`` field naming which path
         answered: ``"cache"`` (store hit), ``"coalesced"`` (joined an
-        in-flight execution), or ``"executed"`` (cold).  Payload bytes
-        are identical across all three sources for the same address.
+        in-flight execution), or ``"executed"`` (cold).  The body is
+        identical across all three sources for the same address.
 
         Raises :class:`RequestError` for malformed requests and
         :class:`ServeError` for refused/failed ones.
@@ -125,11 +126,11 @@ class ServeService:
             self.stats.exit()
 
     async def _serve(self, canon: dict, address: str, t0: float) -> dict:
-        envelope = self.store.get(address)
+        stored = self.store.get(address)
         self.stats.integrity_failures = self.store.integrity_failures
-        if envelope is not None:
+        if stored is not None:
             self.stats.hits += 1
-            return self._respond(envelope, "cache", t0)
+            return self._respond(stored, "cache", t0)
         pending = self._inflight.get(address)
         if pending is not None:
             self.stats.coalesced += 1
@@ -145,11 +146,11 @@ class ServeService:
                 payload = await asyncio.to_thread(
                     execute_request, canon, jobs=self.jobs
                 )
-            envelope = self.store.put(address, canon, payload)
+            stored = self.store.put(address, canon, payload)
             self.stats.misses += 1
             self.stats.evictions = self.store.evictions
-            future.set_result(("ok", envelope))
-            return self._respond(envelope, "executed", t0)
+            future.set_result(("ok", stored))
+            return self._respond(stored, "executed", t0)
         except Exception as exc:
             self.stats.errors += 1
             future.set_result(("err", f"{type(exc).__name__}: {exc}"))
@@ -159,14 +160,14 @@ class ServeService:
         finally:
             del self._inflight[address]
 
-    def _respond(self, envelope: dict, source: str, t0: float) -> dict:
+    def _respond(self, stored: StoredResult, source: str, t0: float) -> dict:
         elapsed = time.perf_counter() - t0  # repro: allow RS003 -- service-time metric
         self.stats.record_time(elapsed)
         return {
-            "address": envelope["address"],
-            "kind": envelope["kind"],
-            "payload_sha": envelope["payload_sha"],
-            "payload": envelope["payload"],
+            "address": stored.address,
+            "kind": stored.kind,
+            "payload_sha": stored.payload_sha,
+            "body": stored.body,
             "source": source,
             "cached": source != "executed",
         }

@@ -2,14 +2,22 @@
 
 Layout under the store root::
 
-    objects/<aa>/<address>.json   # one envelope per result
+    objects/<aa>/<address>.json   # one object per result
     index.jsonl                   # append-only put/del journal
 
-The envelope records the canonical request, the payload, and the
-payload's SHA-256; :meth:`ResultStore.get` *re-verifies* that digest on
-every read and treats a mismatch as a miss (the corrupt entry is dropped
-and the request re-executes) — a cache over immutable results must never
-serve bytes it cannot prove are the bytes it stored.
+An object is one JSON header line followed by the payload's canonical
+bytes (:func:`~repro.serve.address.payload_bytes`, the bytes
+:func:`~repro.serve.address.payload_sha` hashes)::
+
+    {"address": ..., "kind": ..., "nbytes": N, "payload_sha": ..., "request": {...}, "v": 2}
+    <N canonical payload bytes>
+
+:meth:`ResultStore.get` parses only the header, *re-verifies* the
+body's SHA-256 on every read and returns the body unparsed; any
+mismatch is a miss (the corrupt entry is dropped and the request
+re-executes) — a cache over immutable results must never serve bytes it
+cannot prove are the bytes it stored.  An object in any other format,
+such as an old one-line envelope, is an entry the store cannot verify.
 
 The journal makes eviction deterministic: entries are evicted strictly
 in insertion (FIFO) order when ``max_entries`` or ``max_bytes`` is
@@ -17,22 +25,56 @@ exceeded.  FIFO rather than LRU is deliberate — recency updates would
 make the on-disk state depend on read traffic, and replaying the journal
 would no longer reconstruct the same eviction order on every host.
 
-With ``root=None`` the store is memory-only (same semantics, nothing
-persisted) — the shape the coalescing benches use when disk is noise.
+With ``root=None`` the store is memory-only: it keeps the same object
+bytes and every read goes through the same check, with nothing
+persisted — the shape the coalescing benches use when disk is noise.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
-from .address import payload_sha
+from .address import payload_bytes
 
-__all__ = ["ResultStore"]
+__all__ = ["ResultStore", "StoredResult"]
 
-_ENVELOPE_VERSION = 1
+_OBJECT_VERSION = 2
+
+
+class StoredResult(NamedTuple):
+    """One verified result: its address, kind, payload SHA-256 and the
+    payload's canonical bytes (``body``), unparsed."""
+
+    address: str
+    kind: str
+    payload_sha: str
+    body: bytes
+
+
+def _verify(address: str, data: bytes) -> StoredResult | None:
+    """Parse an object's header and check its body against it; ``None``
+    unless the object is a v2 object for ``address`` whose body has the
+    announced length and SHA-256."""
+    head, newline, body = data.partition(b"\n")
+    if not newline:
+        return None
+    try:
+        header = json.loads(head)
+    except ValueError:
+        return None
+    if (
+        not isinstance(header, dict)
+        or header.get("v") != _OBJECT_VERSION
+        or header.get("address") != address
+        or header.get("nbytes") != len(body)
+        or header.get("payload_sha") != hashlib.sha256(body).hexdigest()
+    ):
+        return None
+    return StoredResult(address, header.get("kind"), header["payload_sha"], body)
 
 
 class ResultStore:
@@ -52,10 +94,11 @@ class ResultStore:
         self.root = None if root is None else Path(root)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        # address -> entry size in bytes, in insertion order (dicts
-        # preserve it); the eviction queue and the byte ledger in one.
+        # address -> object size in bytes, in insertion order (dicts
+        # preserve it); the eviction queue, with its running byte total.
         self._entries: dict[str, int] = {}
-        self._memory: dict[str, dict] = {}
+        self._nbytes = 0
+        self._memory: dict[str, bytes] = {}
         self.puts = 0
         self.gets = 0
         self.evictions = 0
@@ -92,6 +135,7 @@ class ResultStore:
                 del self._entries[addr]
         for addr in [a for a in self._entries if not self._object_path(a).exists()]:
             del self._entries[addr]
+        self._nbytes = sum(self._entries.values())
 
     def _journal(self, op: str, address: str, nbytes: int = 0) -> None:
         if self.root is None:
@@ -117,71 +161,71 @@ class ResultStore:
 
     @property
     def nbytes(self) -> int:
-        """Total stored payload envelope bytes (the eviction ledger)."""
-        return sum(self._entries.values())
+        """Total stored object bytes (the eviction ledger)."""
+        return self._nbytes
 
-    def put(self, address: str, canon: dict, payload: Any) -> dict:
-        """Store one result; returns its envelope.  Idempotent per address
-        (immutable content: a re-put of the same address is a no-op that
-        returns the stored envelope)."""
+    def put(self, address: str, canon: dict, payload: Any) -> StoredResult:
+        """Store one result and return it as a :class:`StoredResult`.
+        Idempotent per address (immutable content: a re-put of the same
+        address is a no-op that returns the stored result)."""
         if address in self._entries:
             existing = self.get(address)
             if existing is not None:
                 return existing
             # fell through: the stored copy was corrupt and dropped.
-        envelope = {
-            "v": _ENVELOPE_VERSION,
+        body = payload_bytes(payload)
+        stored = StoredResult(address, canon.get("kind"),
+                              hashlib.sha256(body).hexdigest(), body)
+        header = {
+            "v": _OBJECT_VERSION,
             "address": address,
-            "kind": canon.get("kind"),
+            "kind": stored.kind,
             "request": canon,
-            "payload_sha": payload_sha(payload),
-            "payload": payload,
+            "payload_sha": stored.payload_sha,
+            "nbytes": len(body),
         }
-        data = json.dumps(envelope, sort_keys=True)
+        data = json.dumps(header, sort_keys=True).encode() + b"\n" + body
         if self.root is not None:
             path = self._object_path(address)
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(".tmp")
-            tmp.write_text(data)
+            tmp.write_bytes(data)
             os.replace(tmp, path)  # atomic: readers never see a torn entry
         else:
-            self._memory[address] = json.loads(data)
+            self._memory[address] = data
         self._entries[address] = len(data)
+        self._nbytes += len(data)
         self._journal("put", address, len(data))
         self.puts += 1
         self._evict_over_capacity()
-        return envelope
+        return stored
 
-    def get(self, address: str) -> dict | None:
-        """Fetch one envelope, re-verifying payload integrity.
+    def get(self, address: str) -> StoredResult | None:
+        """Fetch one result, re-verifying its bytes.
 
         Returns ``None`` on miss *and* on any failed verification —
-        unreadable file, address mismatch, payload digest mismatch — after
-        dropping the bad entry, so a corrupt cache degrades to re-execution
-        instead of serving damaged results.
+        unreadable file, unknown format, address mismatch, body length
+        or digest mismatch — after dropping the bad entry, so a corrupt
+        cache degrades to re-execution instead of serving damaged results.
         """
         self.gets += 1
         if address not in self._entries:
             return None
         if self.root is None:
-            envelope = self._memory.get(address)
+            data = self._memory.get(address)
         else:
             try:
-                envelope = json.loads(self._object_path(address).read_text())
-            except (OSError, json.JSONDecodeError):
-                envelope = None
-        if (
-            envelope is None
-            or envelope.get("address") != address
-            or envelope.get("payload_sha") != payload_sha(envelope.get("payload"))
-        ):
+                data = self._object_path(address).read_bytes()
+            except OSError:
+                data = None
+        stored = None if data is None else _verify(address, data)
+        if stored is None:
             self.integrity_failures += 1
             self._drop(address)
-            return None
-        return envelope
+        return stored
 
     def _drop(self, address: str) -> None:
-        self._entries.pop(address, None)
+        self._nbytes -= self._entries.pop(address, 0)
         self._memory.pop(address, None)
         if self.root is not None:
             try:
@@ -196,7 +240,7 @@ class ResultStore:
         while self._entries and (
             (self.max_entries is not None and len(self._entries) > self.max_entries)
             or (self.max_bytes is not None and len(self._entries) > 1
-                and self.nbytes > self.max_bytes)
+                and self._nbytes > self.max_bytes)
         ):
             oldest = next(iter(self._entries))
             self._drop(oldest)
@@ -206,7 +250,7 @@ class ResultStore:
         """Store-side counters (merged into the service's ServeStats block)."""
         return {
             "entries": len(self._entries),
-            "bytes": self.nbytes,
+            "bytes": self._nbytes,
             "puts": self.puts,
             "gets": self.gets,
             "evictions": self.evictions,

@@ -2,8 +2,9 @@
 
 The acceptance bar this file pins:
 
-* cached responses are **byte-identical** to cold ones for every request
-  kind (``payload_bytes`` equality, not just equal dicts);
+* cached, coalesced and cold responses carry the **same bytes** for every
+  request kind (the stored canonical body, not just equal dicts), and a
+  stored object that fails verification is re-executed;
 * single-flight dedupe produces **exact** ServeStats counts — N
   identical concurrent requests = 1 miss + (N-1) coalesces, replays of a
   stored address = pure hits;
@@ -13,6 +14,7 @@ The acceptance bar this file pins:
 """
 
 import asyncio
+import json
 import os
 import subprocess
 import sys
@@ -61,8 +63,59 @@ def test_cached_response_byte_identical_to_cold(client, kind):
     assert cold["source"] == "executed" and cold["cached"] is False
     assert cached["source"] == "cache" and cached["cached"] is True
     assert cached["address"] == cold["address"]
-    assert payload_bytes(cached["payload"]) == payload_bytes(cold["payload"])
+    assert cached["body"] == cold["body"] == payload_bytes(cold["payload"])
     assert cached["payload_sha"] == cold["payload_sha"]
+
+
+@pytest.mark.parametrize("kind", sorted(REQUESTS))
+def test_every_source_carries_the_same_bytes(client, kind):
+    request = REQUESTS[kind]
+    pair = client.request_many([request, request])
+    by_source = {r["source"]: r for r in pair}
+    by_source["cache"] = client.request(request)
+    assert sorted(by_source) == ["cache", "coalesced", "executed"]
+    assert len({r["body"] for r in by_source.values()}) == 1
+    assert len({r["payload_sha"] for r in by_source.values()}) == 1
+    assert all(payload_bytes(r["payload"]) == r["body"]
+               for r in by_source.values())
+
+
+def _flip_body_byte(path):
+    head, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(head + b"\n" + body[:-1] + bytes([body[-1] ^ 1]))
+
+
+def _wrong_nbytes(path):
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = dict(json.loads(head), nbytes=len(body) - 1)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def _v1_object(path):
+    # What the store wrote before objects were a header plus canonical
+    # bytes: one sorted JSON envelope holding the decoded payload.
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    path.write_text(json.dumps({
+        "v": 1, "address": header["address"], "kind": header["kind"],
+        "request": header["request"], "payload_sha": header["payload_sha"],
+        "payload": json.loads(body)}, sort_keys=True))
+
+
+@pytest.mark.parametrize("tamper", [_flip_body_byte, _wrong_nbytes, _v1_object],
+                         ids=["flipped-byte", "wrong-nbytes", "v1-object"])
+def test_unverifiable_stored_object_is_re_executed(tmp_path, tamper):
+    cache = tmp_path / "cache"
+    with ServeClient(cache_dir=str(cache)) as c:
+        cold = c.request(REQUESTS["trace"])
+    tamper(next((cache / "objects").rglob("*.json")))
+    with ServeClient(cache_dir=str(cache)) as c:
+        again = c.request(REQUESTS["trace"])
+        stats = c.stats()
+        cached = c.request(REQUESTS["trace"])
+    assert again["source"] == "executed" and cached["source"] == "cache"
+    assert again["body"] == cached["body"] == cold["body"]
+    assert stats["integrity_failures"] == 1 and stats["misses"] == 1
 
 
 def test_cache_survives_client_restart(tmp_path):

@@ -1,4 +1,10 @@
-"""ResultStore: CAS roundtrip, persistence, integrity, FIFO eviction."""
+"""ResultStore: CAS roundtrip, persistence, integrity, FIFO eviction.
+
+An object is a JSON header line plus the payload's canonical bytes; every
+read re-verifies the body against the header, so a flipped byte, a wrong
+length or an object in the old one-line format is a miss, never bytes
+served.
+"""
 
 import json
 
@@ -23,17 +29,32 @@ def _addr(i):
 # Roundtrip + persistence
 # --------------------------------------------------------------------- #
 
+def _object(root):
+    return next((root / "objects").rglob("*.json"))
+
+
 @pytest.mark.parametrize("persistent", [True, False])
 def test_put_get_roundtrip(tmp_path, persistent):
     store = ResultStore(tmp_path / "cas" if persistent else None)
     assert store.get(ADDR) is None
-    env = store.put(ADDR, CANON, PAYLOAD)
+    put = store.put(ADDR, CANON, PAYLOAD)
     got = store.get(ADDR)
-    assert got is not None
-    assert got["payload"] == PAYLOAD
-    assert got["payload_sha"] == payload_sha(PAYLOAD) == env["payload_sha"]
-    assert payload_bytes(got["payload"]) == payload_bytes(PAYLOAD)
+    assert got == put
+    assert got.address == ADDR and got.kind == "chaos"
+    assert got.body == payload_bytes(PAYLOAD)
+    assert got.payload_sha == payload_sha(PAYLOAD)
+    assert json.loads(got.body) == PAYLOAD
     assert ADDR in store and len(store) == 1
+
+
+def test_object_is_a_header_line_then_the_canonical_bytes(tmp_path):
+    root = tmp_path / "cas"
+    ResultStore(root).put(ADDR, CANON, PAYLOAD)
+    head, body = _object(root).read_bytes().split(b"\n", 1)
+    assert body == payload_bytes(PAYLOAD)
+    assert json.loads(head) == {"v": 2, "address": ADDR, "kind": "chaos",
+                                "request": CANON, "nbytes": len(body),
+                                "payload_sha": payload_sha(PAYLOAD)}
 
 
 def test_put_is_idempotent(tmp_path):
@@ -48,7 +69,7 @@ def test_persists_across_instances(tmp_path):
     ResultStore(root).put(ADDR, CANON, PAYLOAD)
     reopened = ResultStore(root)
     got = reopened.get(ADDR)
-    assert got is not None and got["payload"] == PAYLOAD
+    assert got is not None and got.body == payload_bytes(PAYLOAD)
 
 
 def test_journal_survives_torn_final_line(tmp_path):
@@ -64,7 +85,7 @@ def test_vanished_object_file_is_a_miss(tmp_path):
     root = tmp_path / "cas"
     store = ResultStore(root)
     store.put(ADDR, CANON, PAYLOAD)
-    next((root / "objects").rglob("*.json")).unlink()
+    _object(root).unlink()
     reopened = ResultStore(root)
     assert reopened.get(ADDR) is None
 
@@ -77,10 +98,11 @@ def test_corrupt_payload_detected_and_dropped(tmp_path):
     root = tmp_path / "cas"
     store = ResultStore(root)
     store.put(ADDR, CANON, PAYLOAD)
-    obj = next((root / "objects").rglob("*.json"))
-    doc = json.loads(obj.read_text())
-    doc["payload"]["rounds"] = 999  # bit-rot / tamper
-    obj.write_text(json.dumps(doc, sort_keys=True))
+    obj = _object(root)
+    data = obj.read_bytes()
+    # bit-rot / tamper: one body byte, same length ("rounds": 3 -> 4)
+    obj.write_bytes(data.replace(b'"rounds":3', b'"rounds":4'))
+    assert obj.read_bytes() != data
     assert store.get(ADDR) is None
     assert store.integrity_failures == 1
     assert ADDR not in store and not obj.exists()
@@ -89,11 +111,56 @@ def test_corrupt_payload_detected_and_dropped(tmp_path):
     assert store.get(ADDR) is not None
 
 
+def test_memory_store_checks_the_same_bytes():
+    store = ResultStore(None)
+    store.put(ADDR, CANON, PAYLOAD)
+    store._memory[ADDR] = store._memory[ADDR].replace(b'"rounds":3',
+                                                      b'"rounds":4')
+    assert store.get(ADDR) is None
+    assert store.integrity_failures == 1 and ADDR not in store
+
+
+def test_nbytes_mismatch_is_an_integrity_failure(tmp_path):
+    root = tmp_path / "cas"
+    store = ResultStore(root)
+    store.put(ADDR, CANON, PAYLOAD)
+    obj = _object(root)
+    head, body = obj.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["nbytes"] += 1  # the digest still matches the body
+    obj.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    assert store.get(ADDR) is None
+    assert store.integrity_failures == 1 and ADDR not in store
+
+
+def plant_v1_object(root, address, canon, payload):
+    """Write ``payload`` as the store's old one-line envelope, journaled."""
+    data = json.dumps({"v": 1, "address": address, "kind": canon["kind"],
+                       "request": canon, "payload_sha": payload_sha(payload),
+                       "payload": payload}, sort_keys=True)
+    path = root / "objects" / address[:2] / f"{address}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(data)
+    with open(root / "index.jsonl", "a") as fh:
+        fh.write(json.dumps({"op": "put", "address": address,
+                             "nbytes": len(data)}) + "\n")
+
+
+def test_v1_object_is_dropped(tmp_path):
+    root = tmp_path / "cas"
+    plant_v1_object(root, ADDR, CANON, PAYLOAD)
+    store = ResultStore(root)
+    assert ADDR in store
+    assert store.get(ADDR) is None
+    assert store.integrity_failures == 1
+    assert ADDR not in store and not any((root / "objects").rglob("*.json"))
+
+
 def test_unreadable_object_is_a_miss(tmp_path):
     root = tmp_path / "cas"
     store = ResultStore(root)
     store.put(ADDR, CANON, PAYLOAD)
-    next((root / "objects").rglob("*.json")).write_text("{not json")
+    _object(root).write_text("{not json")
     assert store.get(ADDR) is None
     assert store.integrity_failures == 1
 
@@ -141,6 +208,36 @@ def test_eviction_order_survives_reopen(tmp_path):
     reopened.put(a3, c3, PAYLOAD)
     assert reopened.get(addrs[0]) is None
     assert reopened.get(addrs[2]) is not None
+
+
+def test_nbytes_is_the_running_sum_of_entry_sizes(tmp_path):
+    root = tmp_path / "cas"
+    canon, addr = _addr(0)
+    probe = ResultStore(None)
+    probe.put(addr, canon, PAYLOAD)
+    size = probe.nbytes
+
+    def check(store):
+        on_disk = sum(p.stat().st_size
+                      for p in (root / "objects").rglob("*.json"))
+        assert store.nbytes == sum(store._entries.values()) == on_disk
+        assert store.stats()["bytes"] == store.nbytes
+
+    store = ResultStore(root, max_bytes=2 * size + size // 2)
+    addrs = []
+    for i in range(5):
+        canon, addr = _addr(i)
+        store.put(addr, canon, PAYLOAD)
+        addrs.append(addr)
+        check(store)
+    assert store.evictions == 3 and len(store) == 2
+    path = root / "objects" / addrs[-1][:2] / f"{addrs[-1]}.json"
+    path.write_bytes(path.read_bytes().replace(b'"rounds":3', b'"rounds":4'))
+    assert store.get(addrs[-1]) is None
+    check(store)
+    reopened = ResultStore(root, max_bytes=2 * size + size // 2)
+    assert len(reopened) == 1
+    check(reopened)
 
 
 @pytest.mark.parametrize("kwargs", [{"max_entries": 0}, {"max_bytes": 0}])
