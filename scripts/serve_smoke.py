@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     cache = args.out_dir / "cache"
     # The hit and miss counts assume a cold store: drop an earlier run's.
     shutil.rmtree(cache, ignore_errors=True)
-    addresses = {request_address(r)[1] for r in MIX + FRESH}
+    addresses = {request_address(r)[1] for r in [*MIX, *FRESH]}
     if len(addresses) != len(MIX) + len(FRESH):
         fail("FRESH does not give every request a new address")
 
@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     # and re-verified in a new process, every answer from the store.
     proc, client = start_server(cache, args.jobs)
     try:
-        serve(client, MIX + FRESH + [TRACE], "cache", answers)
+        serve(client, [*MIX, *FRESH, TRACE], "cache", answers)
         restart_stats = client.stats()
         if (restart_stats["misses"] or restart_stats["integrity_failures"]
                 or restart_stats["hits"] != len(answers)):

@@ -116,10 +116,15 @@ class TCPServeClient:
         """One line, or exactly ``nbytes`` bytes; ServeError if the
         connection ends or times out first."""
         try:
-            data = self._file.readline() if nbytes is None else self._file.read(nbytes)
+            if nbytes is None:
+                data = self._file.readline()
+                short = not data
+            else:
+                data = self._file.read(nbytes)
+                short = len(data) != nbytes
         except OSError as exc:  # a timeout included
             raise ServeError(f"connection failed mid-response: {exc}") from exc
-        if (not data) if nbytes is None else len(data) != nbytes:
+        if short:
             raise ServeError("server closed the connection mid-response")
         return data
 

@@ -35,8 +35,8 @@ class ServeStats:
     ``evictions``
         store entries removed by the capacity policy;
     ``integrity_failures``
-        store reads whose payload failed SHA-256 re-verification (the
-        entry is dropped and the request re-executed);
+        store reads whose object failed verification — SHA-256, length
+        or format (the entry is dropped and the request re-executed);
     ``rejected``
         requests refused by capacity-limited admission;
     ``errors``

@@ -252,6 +252,7 @@ def test_tcp_flipped_byte_in_transit_is_serve_error():
     assert len(flipped) == len(BODY) and flipped != BODY
     reply = _meta(BODY) + flipped
     with _scripted_server(reply, hold_open=False) as (host, port):
-        with TCPServeClient(host, port, timeout=10.0) as client:
-            with pytest.raises(ServeError, match="integrity"):
-                client.request(CHAOS)
+        client = TCPServeClient(host, port, timeout=10.0)
+        with pytest.raises(ServeError, match="integrity"):
+            client.request(CHAOS)
+        client.close()

@@ -31,6 +31,7 @@ from repro.serve import (
     ServeService,
     payload_bytes,
 )
+from tests.test_serve_store import plant_v1_object
 
 REQUESTS = {
     "sweep": {"kind": "sweep", "n": 8, "extra_edges": 6, "graph_seed": 3,
@@ -57,27 +58,18 @@ def client(tmp_path):
 
 @pytest.mark.parametrize("kind", sorted(REQUESTS))
 def test_cached_response_byte_identical_to_cold(client, kind):
+    # The cold and the coalesced answer come from one execution, the
+    # cached one from the store: all three carry the same bytes.
     request = REQUESTS[kind]
-    cold = client.request(request)
-    cached = client.request(request)
-    assert cold["source"] == "executed" and cold["cached"] is False
-    assert cached["source"] == "cache" and cached["cached"] is True
-    assert cached["address"] == cold["address"]
-    assert cached["body"] == cold["body"] == payload_bytes(cold["payload"])
-    assert cached["payload_sha"] == cold["payload_sha"]
-
-
-@pytest.mark.parametrize("kind", sorted(REQUESTS))
-def test_every_source_carries_the_same_bytes(client, kind):
-    request = REQUESTS[kind]
-    pair = client.request_many([request, request])
-    by_source = {r["source"]: r for r in pair}
+    by_source = {r["source"]: r for r in client.request_many([request] * 2)}
     by_source["cache"] = client.request(request)
-    assert sorted(by_source) == ["cache", "coalesced", "executed"]
-    assert len({r["body"] for r in by_source.values()}) == 1
-    assert len({r["payload_sha"] for r in by_source.values()}) == 1
-    assert all(payload_bytes(r["payload"]) == r["body"]
-               for r in by_source.values())
+    cold = by_source["executed"]
+    assert cold["cached"] is False
+    assert by_source["coalesced"]["cached"] is by_source["cache"]["cached"] is True
+    for r in by_source.values():
+        assert r["address"] == cold["address"]
+        assert r["payload_sha"] == cold["payload_sha"]
+        assert r["body"] == cold["body"] == payload_bytes(r["payload"])
 
 
 def _flip_body_byte(path):
@@ -92,14 +84,10 @@ def _wrong_nbytes(path):
 
 
 def _v1_object(path):
-    # What the store wrote before objects were a header plus canonical
-    # bytes: one sorted JSON envelope holding the decoded payload.
     head, body = path.read_bytes().split(b"\n", 1)
     header = json.loads(head)
-    path.write_text(json.dumps({
-        "v": 1, "address": header["address"], "kind": header["kind"],
-        "request": header["request"], "payload_sha": header["payload_sha"],
-        "payload": json.loads(body)}, sort_keys=True))
+    plant_v1_object(path.parents[2], header["address"], header["request"],
+                    json.loads(body))
 
 
 @pytest.mark.parametrize("tamper", [_flip_body_byte, _wrong_nbytes, _v1_object],
