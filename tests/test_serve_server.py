@@ -121,6 +121,7 @@ def test_tcp_every_source_carries_the_same_bytes(harness, monkeypatch, kind):
             time.sleep(0.01)
         joined = b.request(request)
         runner.join(timeout=120)
+        assert not runner.is_alive()
         cached = a.request(request)
     responses = [first[0], joined, cached]
     assert [r["source"] for r in responses] == ["executed", "coalesced", "cache"]
