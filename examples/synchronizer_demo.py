@@ -42,7 +42,7 @@ def main() -> None:
             d, _parent = res.result_of(v)
             assert abs(d - dist[v]) < 1e-9, "output mismatch!"
         print(f"{k:3d} {res.proto_cost:9g} {res.ack_cost:8g} "
-              f"{res.gamma_cost:8g} {res.comm_overhead_per_pulse:9.1f} "
+              f"{res.control_cost:8g} {res.comm_overhead_per_pulse:9.1f} "
               f"{res.time_per_pulse:9.2f} {res.pulses:7d}")
 
     print("\nEvery run reproduced the synchronous output exactly; the")

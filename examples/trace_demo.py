@@ -25,7 +25,6 @@ import os
 import tempfile
 
 from repro.graphs import random_connected_graph
-from repro.graphs.paths import diameter
 from repro.obs import (
     TraceRecorder,
     validate_jsonl,
@@ -33,15 +32,13 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.protocols.spt_synch import SyncBellmanFord
-from repro.synch.gamma_w import run_gamma_w
+from repro.synch.gamma_w import pulse_bounds, run_gamma_w
 
 
 def main() -> None:
     graph = random_connected_graph(n=12, extra_edges=18, seed=5)
     source = graph.vertices[0]
-    stop_pulse = int(diameter(graph)) + 1
-    w_max = int(max(w for _, _, w in graph.edges()))
-    max_pulse = 4 * (stop_pulse + 1) + 4 * w_max + 8
+    stop_pulse, max_pulse = pulse_bounds(graph)
 
     recorder = TraceRecorder()
     result = run_gamma_w(
@@ -62,7 +59,7 @@ def main() -> None:
               f"({recorder.count_by_span[span]} sends)")
     print("tag accounting for comparison: "
           f"proto={result.proto_cost:g}, ack={result.ack_cost:g}, "
-          f"gamma={result.gamma_cost:g}")
+          f"gamma={result.control_cost:g}")
 
     out_dir = tempfile.mkdtemp(prefix="repro-trace-")
     chrome_path = write_chrome_trace(

@@ -154,15 +154,12 @@ def _gamma_w_cases(n: int, extra_edges: int,
     contract.  The answer is every node's hosted result (all must hold the
     global maximum).
     """
-    from ..graphs.paths import diameter
     from ..protocols.max_consensus import SyncMaxConsensus
-    from ..synch.gamma_w import GammaWConfig, GammaWHost
+    from ..synch.gamma_w import GammaWConfig, GammaWHost, pulse_bounds
 
     g = random_connected_graph(n, extra_edges, seed=graph_seed)
     cfg = GammaWConfig(g, k=2)
-    stop_pulse = int(diameter(g)) + 1
-    w_max = int(max(w for _u, _v, w in g.edges()))
-    max_pulse = 4 * (stop_pulse + 1) + 4 * w_max + 8
+    stop_pulse, max_pulse = pulse_bounds(g)
     values = {v: (v * 37 + 11) % (3 * n) for v in g.vertices}
 
     def inner(u: Any) -> SyncMaxConsensus:

@@ -21,7 +21,8 @@ from ..graphs.paths import diameter
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
 from ..sim.sync_runner import SynchronousProtocol, SynchronousRunner
-from ..synch.gamma_w import GammaWResult, run_gamma_w
+from ..synch.gamma_w import pulse_bounds, run_gamma_w
+from ..synch.host_base import SyncResult
 
 __all__ = ["SyncMaxConsensus", "run_max_consensus_reference",
            "run_max_consensus_gamma_w"]
@@ -74,12 +75,9 @@ def run_max_consensus_gamma_w(
     stop_pulse: int | None = None,
     delay: DelayModel | None = None,
     seed: int = 0,
-) -> GammaWResult:
+) -> SyncResult:
     """Max-consensus on the asynchronous network via synchronizer gamma_w."""
-    if stop_pulse is None:
-        stop_pulse = int(diameter(graph)) + 1
-    w_max = int(max(w for _, _, w in graph.edges()))
-    max_pulse = 4 * (stop_pulse + 1) + 4 * w_max + 8
+    stop_pulse, max_pulse = pulse_bounds(graph, stop_pulse)
     return run_gamma_w(
         graph,
         lambda v: SyncMaxConsensus(values[v], stop_pulse),

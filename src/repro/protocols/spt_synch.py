@@ -21,7 +21,8 @@ from ..graphs.paths import diameter
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
 from ..sim.sync_runner import SynchronousProtocol, SynchronousRunner
-from ..synch.gamma_w import GammaWResult, run_gamma_w
+from ..synch.gamma_w import pulse_bounds, run_gamma_w
+from ..synch.host_base import SyncResult
 
 __all__ = ["SyncBellmanFord", "run_spt_synch", "run_spt_synchronous_reference"]
 
@@ -90,17 +91,14 @@ def run_spt_synch(
     delay: DelayModel | None = None,
     seed: int = 0,
     budget: float | None = None,
-) -> tuple[GammaWResult, WeightedGraph | None]:
+) -> tuple[SyncResult, WeightedGraph | None]:
     """Algorithm SPT_synch: Bellman-Ford under gamma_w on the async network.
 
     Returns (gamma_w result with overhead accounting, the SPT).  Note the
     hosted protocol observes *original* weights, so the tree equals the
     reference synchronous run's tree exactly.
     """
-    if stop_pulse is None:
-        stop_pulse = int(diameter(graph)) + 1
-    w_max = int(max(w for _, _, w in graph.edges()))
-    max_pulse = 4 * (stop_pulse + 1) + 4 * w_max + 8
+    stop_pulse, max_pulse = pulse_bounds(graph, stop_pulse)
     result = run_gamma_w(
         graph,
         lambda v: SyncBellmanFord(v == source, stop_pulse),

@@ -3,7 +3,7 @@
 Layout under the store root::
 
     objects/<aa>/<address>.json   # one object per result
-    index.jsonl                   # append-only put/del journal
+    index.jsonl                   # put/del journal, compacted when long
 
 An object is one JSON header line followed by the payload's canonical
 bytes (:func:`~repro.serve.address.payload_bytes`, the bytes
@@ -25,6 +25,15 @@ exceeded.  FIFO rather than LRU is deliberate — recency updates would
 make the on-disk state depend on read traffic, and replaying the journal
 would no longer reconstruct the same eviction order on every host.
 
+Every put and drop appends one journal line, so a store that evicts
+would grow its journal without bound.  After replay on open and after
+each put's eviction pass, a journal of more than ``2 * entries + 64``
+lines is rewritten as one ``put`` line per live entry, oldest first (a
+temporary file renamed over the old one); replaying it restores the
+same entries in the same order.  A journal whose last line is torn is
+rewritten on open too, so the next append does not land on the torn
+line.
+
 With ``root=None`` the store is memory-only: it keeps the same object
 bytes and every read goes through the same check, with nothing
 persisted — the shape the coalescing benches use when disk is noise.
@@ -43,6 +52,15 @@ from .address import payload_bytes
 __all__ = ["ResultStore", "StoredResult"]
 
 _OBJECT_VERSION = 2
+
+#: A journal is compacted once it holds more than ``2 * entries`` plus
+#: this many lines.
+_JOURNAL_SLACK = 64
+
+
+def _journal_line(op: str, address: str, nbytes: int = 0) -> str:
+    return json.dumps({"op": op, "address": address, "nbytes": nbytes},
+                      sort_keys=True) + "\n"
 
 
 class StoredResult(NamedTuple):
@@ -98,6 +116,7 @@ class ResultStore:
         # preserve it); the eviction queue, with its running byte total.
         self._entries: dict[str, int] = {}
         self._nbytes = 0
+        self._journal_lines = 0
         self._memory: dict[str, bytes] = {}
         self.puts = 0
         self.gets = 0
@@ -121,13 +140,16 @@ class ResultStore:
         whose object file has vanished (a deleted file is just a miss)."""
         if not self._index_path.exists():
             return
-        for line in self._index_path.read_text().splitlines():
+        lines = self._index_path.read_text().splitlines()
+        torn = False
+        for line in lines:
             if not line.strip():
                 continue
             try:
                 op = json.loads(line)
             except json.JSONDecodeError:
-                continue  # torn final line from a crashed writer
+                torn = True  # torn final line from a crashed writer
+                continue
             addr = op.get("address")
             if op.get("op") == "put" and isinstance(addr, str):
                 self._entries[addr] = int(op.get("nbytes", 0))
@@ -136,14 +158,32 @@ class ResultStore:
         for addr in [a for a in self._entries if not self._object_path(a).exists()]:
             del self._entries[addr]
         self._nbytes = sum(self._entries.values())
+        self._journal_lines = len(lines)
+        if torn:
+            self._compact_journal()
+        else:
+            self._compact_if_long()
 
     def _journal(self, op: str, address: str, nbytes: int = 0) -> None:
         if self.root is None:
             return
         with open(self._index_path, "a") as fh:
-            fh.write(json.dumps({"op": op, "address": address,
-                                 "nbytes": nbytes},
-                                sort_keys=True) + "\n")
+            fh.write(_journal_line(op, address, nbytes))
+        self._journal_lines += 1
+
+    def _compact_if_long(self) -> None:
+        # A memory-only store journals nothing, so its count stays 0.
+        if self._journal_lines > 2 * len(self._entries) + _JOURNAL_SLACK:
+            self._compact_journal()
+
+    def _compact_journal(self) -> None:
+        """Rewrite the journal as one ``put`` line per live entry, oldest
+        first, replacing the old file atomically."""
+        tmp = self._index_path.with_suffix(".tmp")
+        tmp.write_text("".join(_journal_line("put", addr, nbytes)
+                               for addr, nbytes in self._entries.items()))
+        os.replace(tmp, self._index_path)
+        self._journal_lines = len(self._entries)
 
     def _object_path(self, address: str) -> Path:
         assert self.root is not None
@@ -236,7 +276,8 @@ class ResultStore:
 
     def _evict_over_capacity(self) -> None:
         """Evict oldest-first until both capacity bounds hold (an entry
-        larger than ``max_bytes`` on its own still leaves one entry)."""
+        larger than ``max_bytes`` on its own still leaves one entry), then
+        compact the journal if it has grown long."""
         while self._entries and (
             (self.max_entries is not None and len(self._entries) > self.max_entries)
             or (self.max_bytes is not None and len(self._entries) > 1
@@ -245,6 +286,7 @@ class ResultStore:
             oldest = next(iter(self._entries))
             self._drop(oldest)
             self.evictions += 1
+        self._compact_if_long()
 
     def stats(self) -> dict[str, Any]:
         """Store-side counters (merged into the service's ServeStats block)."""

@@ -38,9 +38,12 @@ Three design points matter for throughput (see docs/PERF.md):
 * one list per distinct timestamp is the only per-schedule allocation:
   the former separate ``(time, seq, bucket)`` heap tuple is gone.
 
-The scheduling methods repeat the small push body instead of sharing a
-helper: one extra method call per scheduled event is measurable at the
-event rates of the benchmark's protocol-suite workload.
+Each of the two push bodies is written out in full rather than shared
+through a helper: one extra method call per scheduled event is
+measurable at the event rates of the benchmark's protocol-suite
+workload.  ``schedule`` and ``schedule_at`` are the same functions as
+``schedule_call`` and ``schedule_call_at``, called with no arguments
+for the callback.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from itertools import count
 
 __all__ = ["EventQueue"]
 
-_NO_ARGS: tuple = ()
 _heappush = heapq.heappush
 
 # First payload slot of an entry: [time, seq, cursor, fn0, args0, ...].
@@ -96,54 +98,11 @@ class EventQueue:
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to fire ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        when = self.now + delay
-        entry = self._bucket_get(when) if self._buckets else None
-        if entry is None:
-            entry = [when, self._next_seq(), _HEAD, callback, _NO_ARGS]
-            heap = self._heap
-            if heap:
-                self._buckets[when] = entry
-                _heappush(heap, entry)
-            else:
-                heap.append(entry)
-        else:
-            entry.append(callback)
-            entry.append(_NO_ARGS)
-        self._size += 1
-
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at absolute time ``when`` (>= now).
-
-        ``when == now`` is allowed: the event fires after every event
-        already scheduled at the current instant (scheduling order is
-        total across all entry points, even when the heap was fully
-        drained in between).
-        """
-        if when < self.now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        entry = self._bucket_get(when) if self._buckets else None
-        if entry is None:
-            entry = [when, self._next_seq(), _HEAD, callback, _NO_ARGS]
-            heap = self._heap
-            if heap:
-                self._buckets[when] = entry
-                _heappush(heap, entry)
-            else:
-                heap.append(entry)
-        else:
-            entry.append(callback)
-            entry.append(_NO_ARGS)
-        self._size += 1
-
     def schedule_call(self, delay: float, fn: Callable, *args) -> None:
-        """Like :meth:`schedule`, but stores ``fn`` and ``args`` directly.
+        """Schedule ``fn(*args)`` to fire ``delay`` time units from now.
 
-        Avoids allocating a capturing closure per event — the entry itself
-        carries the argument slots.  This is the hot-path API.
+        The entry itself carries ``fn`` and its argument slots, so callers
+        need not allocate a capturing closure per event.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
@@ -163,7 +122,13 @@ class EventQueue:
         self._size += 1
 
     def schedule_call_at(self, when: float, fn: Callable, *args) -> None:
-        """Like :meth:`schedule_at`, but stores ``fn`` and ``args`` directly."""
+        """Schedule ``fn(*args)`` at absolute time ``when`` (>= now).
+
+        ``when == now`` is allowed: the event fires after every event
+        already scheduled at the current instant (scheduling order is
+        total across all entry points, even when the heap was fully
+        drained in between).
+        """
         if when < self.now:
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
         entry = self._bucket_get(when) if self._buckets else None
@@ -179,6 +144,13 @@ class EventQueue:
             entry.append(fn)
             entry.append(args)
         self._size += 1
+
+    #: ``schedule(delay, callback)``: :meth:`schedule_call` with no
+    #: arguments for the callback.
+    schedule = schedule_call
+    #: ``schedule_at(when, callback)``: :meth:`schedule_call_at` with no
+    #: arguments for the callback.
+    schedule_at = schedule_call_at
 
     # ------------------------------------------------------------------ #
     # Inspection

@@ -5,13 +5,8 @@ from .clock_base import ClockProcess, ClockStats, check_causality, run_clock_syn
 from .clock_beta import BetaStarProcess, center_spt, run_beta_star
 from .clock_gamma import GammaStarConfig, GammaStarProcess, run_gamma_star
 from .gamma import GammaNode, gamma_configs
-from .gamma_w import (
-    GammaWConfig,
-    GammaWHost,
-    GammaWResult,
-    run_gamma_w,
-    run_synchronous_baseline,
-)
+from .gamma_w import GammaWConfig, GammaWHost, pulse_bounds, run_gamma_w
+from .host_base import SyncResult, SynchronizerHostBase
 from .normalize import InSynchWrapper, next_multiple, normalize_graph, power
 from .partition import ClusterInfo, ClusterPartition, build_partition
 
@@ -37,27 +32,24 @@ __all__ = [
     "next_multiple",
     "normalize_graph",
     "InSynchWrapper",
+    "SynchronizerHostBase",
+    "SyncResult",
     "GammaWConfig",
     "GammaWHost",
-    "GammaWResult",
+    "pulse_bounds",
     "run_gamma_w",
-    "run_synchronous_baseline",
 ]
 
-from .host_base import SynchronizerHostBase  # noqa: E402
 from .simple_synchronizers import (  # noqa: E402
     AlphaWHost,
     BetaWHost,
-    SimpleSyncResult,
     run_alpha_w,
     run_beta_w,
 )
 
 __all__ += [
-    "SynchronizerHostBase",
     "AlphaWHost",
     "BetaWHost",
-    "SimpleSyncResult",
     "run_alpha_w",
     "run_beta_w",
 ]

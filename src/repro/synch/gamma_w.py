@@ -28,6 +28,14 @@ pulse are acked (Definition 4.1 specialized to the stratification).
 Costs (Lemma 4.8): per pulse, amortized over the 2^i-pulse spacing of each
 level, communication ``O(k n log W)`` and time ``O(log_k n log W)``; with
 ``W = poly(n)`` these are ``O(k n log n)`` and ``O(log_k n log n)``.
+
+:class:`GammaWHost` is a :class:`~repro.synch.host_base.SynchronizerHostBase`
+like alpha_w's and beta_w's hosts: the pulse-tagged data plane, the acks
+and the pulse loop are shared, and only the per-level control plane above
+is gamma_w's own.  :func:`run_gamma_w` runs the hosts through the shared
+:func:`~repro.synch.host_base.run_hosts` and returns its
+:class:`~repro.synch.host_base.SyncResult`, whose ``control_cost`` is the
+``sync-gamma`` traffic.
 """
 
 from __future__ import annotations
@@ -37,17 +45,16 @@ from collections import defaultdict
 from collections.abc import Callable
 from typing import Any
 
+from ..graphs.paths import diameter
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from ..sim.network import Network, all_finished
-from ..sim.process import Process
-from ..sim.sync_runner import SynchronousProtocol, SynchronousRunner
+from ..sim.sync_runner import SynchronousProtocol
 from .gamma import GammaNode
-from .normalize import InSynchWrapper, normalize_graph
+from .host_base import SynchronizerHostBase, SyncResult, run_hosts
+from .normalize import normalize_graph
 from .partition import ClusterPartition, build_partition
 
-__all__ = ["GammaWConfig", "GammaWHost", "GammaWResult", "run_gamma_w",
-           "run_synchronous_baseline"]
+__all__ = ["GammaWConfig", "GammaWHost", "pulse_bounds", "run_gamma_w"]
 
 
 class GammaWConfig:
@@ -81,29 +88,12 @@ class GammaWConfig:
         return [i for i, parts in self.participants.items() if v in parts]
 
 
-class _HostSyncShim:
-    """The SyncContext look-alike handed to the hosted InSynchWrapper."""
+class GammaWHost(SynchronizerHostBase):
+    """One node of the gamma_w synchronizer hosting one wrapped protocol.
 
-    def __init__(self, host: GammaWHost) -> None:
-        self._host = host
-        self.node_id = host.node_id
-        self.neighbors = host.ctx.neighbors
-        self.weights = host.ctx.weights  # normalized weights
-        self.finished = False
-        self.result: Any = None
-
-    def send(self, to: Vertex, payload: Any) -> None:
-        self._host.protocol_send(to, payload)
-
-    def finish(self, result: Any = None) -> None:
-        if not self.finished:
-            self.finished = True
-            self.result = result
-            self._host.wrapper_finished(result)
-
-
-class GammaWHost(Process):
-    """One node of the gamma_w synchronizer hosting one wrapped protocol."""
+    Only the control plane lives here; the data plane and the pulse loop
+    are :class:`~repro.synch.host_base.SynchronizerHostBase`'s.
+    """
 
     def __init__(
         self,
@@ -112,30 +102,16 @@ class GammaWHost(Process):
         inner_factory: Callable[[Vertex], SynchronousProtocol],
         max_pulse: int,
     ) -> None:
-        self._node = node_id
+        super().__init__(node_id, config.original, inner_factory, max_pulse)
         self.config = config
-        self.max_pulse = max_pulse
-        inner = inner_factory(node_id)
-        self.wrapper = InSynchWrapper(
-            inner, config.original.neighbor_weights(node_id)
-        )
         self.my_levels = config.levels_of(node_id)
         self.gammas: dict[int, GammaNode] = {}
         self.go_level: dict[int, int] = {i: 0 for i in self.my_levels}
         self.pending_acks: dict[int, dict[int, int]] = {
             i: defaultdict(int) for i in self.my_levels
         }
-        self.next_pulse = 0
-        self.pulses_executed = 0
-        self._inbox: dict[int, list] = defaultdict(list)
-        self._advancing = False
 
-    # -------------------------------------------------------------- #
-    # Wiring
-    # -------------------------------------------------------------- #
-
-    def on_start(self) -> None:
-        self.wrapper.sync = _HostSyncShim(self)
+    def _start_control_plane(self) -> None:
         for i in self.my_levels:
             self.gammas[i] = GammaNode(
                 self._node,
@@ -143,51 +119,42 @@ class GammaWHost(Process):
                 send=lambda to, msg, i=i: self._send_gamma(to, i, msg),
                 on_go=lambda P, i=i: self._on_go(i, P),
             )
-        self._advance()
 
     def _send_gamma(self, to: Vertex, i: int, msg: Any) -> None:
         with self.trace_span("sync-gamma", detail=i):
             self.send(to, ("gamma", i, msg), tag="sync-gamma")
 
-    def on_message(self, frm: Vertex, payload: Any) -> None:
-        kind = payload[0]
-        if kind == "proto":
-            _, wire, send_pulse = payload
-            arrive_pulse = send_pulse + int(self.edge_weight(frm))
-            self._inbox[arrive_pulse].append((frm, wire))
-            with self.trace_span("sync-ack"):
-                self.send(frm, ("ack", send_pulse), tag="sync-ack")
-            self._advance()
-        elif kind == "ack":
-            _, send_pulse = payload
-            i = self._level_of_edge(frm)
-            big_p = send_pulse >> i
-            self.pending_acks[i][big_p] -= 1
-            self._check_safety(i, big_p)
-        elif kind == "gamma":
-            _, i, msg = payload
-            self.gammas[i].handle(frm, msg)
-            self._advance()
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown gamma_w message {kind!r}")
+    def handle_control(self, frm: Vertex, payload: Any) -> None:
+        kind, i, msg = payload
+        assert kind == "gamma"
+        self.gammas[i].handle(frm, msg)
+        self._advance()
 
     def _level_of_edge(self, nbr: Vertex) -> int:
         return int(round(math.log2(self.edge_weight(nbr))))
 
     # -------------------------------------------------------------- #
-    # Protocol sends and safety
+    # Safety and admission
     # -------------------------------------------------------------- #
 
-    def protocol_send(self, to: Vertex, wire: Any) -> None:
-        """Transmit a wrapped-protocol message at the current local pulse."""
-        pulse = self.next_pulse  # the pulse currently executing
+    def _on_protocol_send(self, to: Vertex, pulse: int) -> None:
         i = self._level_of_edge(to)
         if pulse % (1 << i) != 0:  # pragma: no cover - wrapper is in synch
             raise AssertionError(
                 f"in-synch violation: pulse {pulse} on level-{i} edge"
             )
         self.pending_acks[i][pulse >> i] += 1
-        self.send(to, ("proto", wire, pulse), tag="proto")
+
+    def _on_ack(self, frm: Vertex, send_pulse: int) -> None:
+        i = self._level_of_edge(frm)
+        big_p = send_pulse >> i
+        self.pending_acks[i][big_p] -= 1
+        self._check_safety(i, big_p)
+
+    def _after_pulse(self, pulse: int) -> None:
+        for i in self.my_levels:
+            if pulse % (1 << i) == 0:
+                self._check_safety(i, pulse >> i)
 
     def _check_safety(self, i: int, big_p: int) -> None:
         """Declare (i, P) safe if pulse P*2^i executed and all acks in."""
@@ -198,77 +165,28 @@ class GammaWHost(Process):
         self.go_level[i] = max(self.go_level[i], big_p)
         self._advance()
 
-    def wrapper_finished(self, result: Any) -> None:
-        self.finish(result)
-
-    # -------------------------------------------------------------- #
-    # Pulse engine
-    # -------------------------------------------------------------- #
-
     def _may_execute(self, pulse: int) -> bool:
-        if pulse > self.max_pulse:
-            return False
         for i in self.my_levels:
             if pulse % (1 << i) == 0 and self.go_level[i] < (pulse >> i):
                 return False
         return True
 
-    def _advance(self) -> None:
-        if self._advancing:  # guard against reentrancy via synchronous GOs
-            return
-        self._advancing = True
-        try:
-            while self._may_execute(self.next_pulse):
-                pulse = self.next_pulse
-                # Rolls this node's "pulse" trace span: protocol sends of
-                # the pulse (and nested ack/gamma traffic until the next
-                # pulse) are attributed under it (no-op untraced).
-                self.trace_pulse(pulse)
-                self.wrapper.on_pulse(pulse, self._inbox.pop(pulse, []))
-                self.next_pulse = pulse + 1
-                self.pulses_executed += 1
-                for i in self.my_levels:
-                    if pulse % (1 << i) == 0:
-                        self._check_safety(i, pulse >> i)
-        finally:
-            self._advancing = False
 
+def pulse_bounds(
+    graph: WeightedGraph, stop_pulse: int | None = None
+) -> tuple[int, int]:
+    """``(stop_pulse, max_pulse)`` for a protocol hosted on ``graph``.
 
-class GammaWResult:
-    """Outcome of a gamma_w run, with overhead accounting."""
-
-    def __init__(self, net_result, config: GammaWConfig, max_pulse: int,
-                 completed: bool = True) -> None:
-        self.net_result = net_result
-        self.config = config
-        self.max_pulse = max_pulse
-        self.completed = completed
-        m = net_result.metrics
-        self.proto_cost = m.cost_by_tag.get("proto", 0.0)
-        self.ack_cost = m.cost_by_tag.get("sync-ack", 0.0)
-        self.gamma_cost = m.cost_by_tag.get("sync-gamma", 0.0)
-        self.overhead_cost = self.ack_cost + self.gamma_cost
-        self.comm_cost = m.comm_cost
-        self.time = m.completion_time
-        self.pulses = max(
-            p.pulses_executed for p in net_result.processes.values()
-        )
-
-    def result_of(self, v: Vertex) -> Any:
-        return self.net_result.processes[v].wrapper.inner_result
-
-    def results(self) -> dict:
-        return {v: self.result_of(v) for v in self.net_result.processes}
-
-    @property
-    def comm_overhead_per_pulse(self) -> float:
-        """The paper's C(gamma_w): synchronization cost amortized per pulse."""
-        return self.overhead_cost / max(1, self.pulses)
-
-    @property
-    def time_per_pulse(self) -> float:
-        """The paper's T(gamma_w): physical time amortized per pulse."""
-        return self.time / max(1, self.pulses)
+    ``stop_pulse`` (the hosted protocol's last pulse) defaults to one past
+    the weighted diameter, ``floor(D) + 1``.  ``max_pulse`` caps the outer
+    pulse counter: four outer pulses per inner pulse up to ``stop_pulse``
+    (the in-synch transform's x4 slowdown), plus ``4 W + 8`` for messages
+    still in flight on edges up to the heaviest weight ``W`` to drain.
+    """
+    if stop_pulse is None:
+        stop_pulse = int(diameter(graph)) + 1
+    w_max = int(max(w for _u, _v, w in graph.edges()))
+    return stop_pulse, 4 * (stop_pulse + 1) + 4 * w_max + 8
 
 
 def run_gamma_w(
@@ -282,14 +200,16 @@ def run_gamma_w(
     config: GammaWConfig | None = None,
     budget: float | None = None,
     recorder: Any | None = None,
-) -> GammaWResult:
+) -> SyncResult:
     """Run a synchronous protocol on an asynchronous network via gamma_w.
 
     ``max_pulse`` caps the outer (x4-slowed, normalized) pulse counter; it
-    must be at least ``4 * (inner completion pulse + 1)``.  The run stops as
-    soon as every node's hosted protocol has finished, or — when ``budget``
-    is given — as soon as the communication cost reaches the budget (the
-    result's ``completed`` flag is then False).
+    must be at least ``4 * (inner completion pulse + 1)``, and
+    :func:`pulse_bounds` gives one that suffices.  The run stops as soon as
+    every node's hosted protocol has finished, or — when ``budget`` is
+    given — as soon as the communication cost reaches the budget (the
+    result's ``completed`` flag is then False); any other stall raises
+    :class:`RuntimeError`.
 
     ``recorder`` attaches structured tracing (``repro.obs``): each node's
     pulses roll a ``pulse`` span, with ``sync-ack``/``sync-gamma``
@@ -297,37 +217,13 @@ def run_gamma_w(
     cost breakdown of the trace refines this function's tag accounting.
     """
     cfg = config if config is not None else GammaWConfig(graph, k)
-    net = Network(
+    return run_hosts(
         cfg.normalized,
         lambda v: GammaWHost(v, cfg, inner_factory, max_pulse),
+        "sync-gamma",
+        max_pulse=max_pulse,
         delay=delay,
         seed=seed,
-        comm_budget=budget,
+        budget=budget,
         recorder=recorder,
     )
-    net_result = net.run(stop_when=all_finished)
-    if not net.all_finished:
-        if budget is not None:
-            return GammaWResult(net_result, cfg, max_pulse, completed=False)
-        unfinished = [
-            v for v, p in net_result.processes.items() if not p.ctx.is_finished
-        ]
-        raise RuntimeError(
-            f"gamma_w stalled: {len(unfinished)} nodes unfinished "
-            f"(max_pulse={max_pulse} too small?)"
-        )
-    return GammaWResult(net_result, cfg, max_pulse)
-
-
-def run_synchronous_baseline(
-    graph: WeightedGraph,
-    inner_factory: Callable[[Vertex], SynchronousProtocol],
-    max_pulses: int = 1_000_000,
-):
-    """Reference run of the same protocol on the weighted synchronous net.
-
-    Returns the :class:`~repro.sim.sync_runner.SyncRunResult`; used to
-    measure ``c_pi`` / ``t_pi`` and to check output equivalence.
-    """
-    runner = SynchronousRunner(graph, inner_factory)
-    return runner.run(max_pulses)

@@ -1,8 +1,8 @@
 """Shared machinery for network-synchronizer hosts (Section 4).
 
 A *synchronizer host* is the per-node asynchronous process that executes a
-wrapped synchronous protocol pulse by pulse.  All hosts share the same
-data plane:
+wrapped synchronous protocol pulse by pulse.  alpha_w, beta_w and gamma_w
+all run on :class:`SynchronizerHostBase` and share its data plane:
 
 * the hosted protocol is an :class:`~repro.synch.normalize.InSynchWrapper`
   (Lemma 4.5's transformed protocol) running against the node's original
@@ -18,6 +18,11 @@ is disseminated and what the admission rule is: alpha_w floods per-pulse
 safety to neighbors, beta_w convergecasts it over a spanning tree, gamma_w
 (in :mod:`repro.synch.gamma_w`) runs one synchronizer-gamma instance per
 weight level.
+
+All three also share one runner, :func:`run_hosts`, and one result,
+:class:`SyncResult`, which splits the run's cost into payload,
+acknowledgments and the synchronizer's own control traffic and amortizes
+the overhead per pulse (the paper's ``C(sigma)`` and ``T(sigma)``).
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from collections.abc import Callable
 from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
+from ..sim.delays import DelayModel
+from ..sim.network import Network, RunResult, all_finished
 from ..sim.process import Process
 from ..sim.sync_runner import SynchronousProtocol
 from .normalize import InSynchWrapper
 
-__all__ = ["HostSyncShim", "SynchronizerHostBase"]
+__all__ = ["HostSyncShim", "SyncResult", "SynchronizerHostBase", "run_hosts"]
 
 
 class HostSyncShim:
@@ -127,6 +134,7 @@ class SynchronizerHostBase(Process):
             self.handle_control(frm, payload)
 
     def protocol_send(self, to: Vertex, wire: Any) -> None:
+        """Transmit a wrapped-protocol message at the current local pulse."""
         pulse = self.next_pulse  # the pulse currently executing
         self._on_protocol_send(to, pulse)
         self.send(to, ("proto", wire, pulse), tag="proto")
@@ -154,3 +162,76 @@ class SynchronizerHostBase(Process):
                 self._after_pulse(pulse)
         finally:
             self._advancing = False
+
+
+class SyncResult:
+    """Outcome of a synchronizer run, with overhead accounting.
+
+    ``control_cost`` is the cost sent under the synchronizer's control tag
+    (``sync-alpha``, ``sync-beta`` or ``sync-gamma``); with the
+    acknowledgments it makes up ``overhead_cost``.  ``completed`` is False
+    only when a communication budget stopped the run.
+    """
+
+    def __init__(self, net_result: RunResult, control_tag: str,
+                 completed: bool = True) -> None:
+        self.net_result = net_result
+        self.completed = completed
+        m = net_result.metrics
+        self.proto_cost = m.cost_by_tag.get("proto", 0.0)
+        self.ack_cost = m.cost_by_tag.get("sync-ack", 0.0)
+        self.control_cost = m.cost_by_tag.get(control_tag, 0.0)
+        self.overhead_cost = self.ack_cost + self.control_cost
+        self.comm_cost = m.comm_cost
+        self.time = m.completion_time
+        self.pulses = max(
+            p.pulses_executed for p in net_result.processes.values()
+        )
+
+    def result_of(self, v: Vertex) -> Any:
+        return self.net_result.processes[v].wrapper.inner_result
+
+    def results(self) -> dict:
+        return {v: self.result_of(v) for v in self.net_result.processes}
+
+    @property
+    def comm_overhead_per_pulse(self) -> float:
+        """The paper's C(sigma): synchronization cost amortized per pulse."""
+        return self.overhead_cost / max(1, self.pulses)
+
+    @property
+    def time_per_pulse(self) -> float:
+        """The paper's T(sigma): physical time amortized per pulse."""
+        return self.time / max(1, self.pulses)
+
+
+def run_hosts(
+    normalized: WeightedGraph,
+    factory: Callable[[Vertex], SynchronizerHostBase],
+    control_tag: str,
+    *,
+    max_pulse: int,
+    delay: DelayModel | None = None,
+    seed: int = 0,
+    budget: float | None = None,
+    recorder: Any | None = None,
+) -> SyncResult:
+    """Run one synchronizer host per node of the normalized graph.
+
+    The run stops as soon as every hosted protocol has finished.  A run the
+    communication ``budget`` stopped first comes back with
+    ``completed=False``; any other stall raises :class:`RuntimeError`
+    (typically ``max_pulse`` is too small for the hosted protocol).
+    """
+    net = Network(normalized, factory, delay=delay, seed=seed,
+                  comm_budget=budget, recorder=recorder)
+    net_result = net.run(stop_when=all_finished)
+    if net.all_finished or net_result.status == "budget_exhausted":
+        return SyncResult(net_result, control_tag, completed=net.all_finished)
+    unfinished = sum(
+        not p.ctx.is_finished for p in net_result.processes.values()
+    )
+    raise RuntimeError(
+        f"synchronizer stalled: {unfinished} of {len(net_result.processes)} "
+        f"nodes unfinished (max_pulse={max_pulse} too small?)"
+    )

@@ -17,6 +17,15 @@ generalized to the weighted setting:
 
 gamma_w interpolates: O(k n log n) communication with O(log_k n log n)
 time.  The ablation benchmark charts all three on the same workloads.
+
+Both hosts are :class:`~repro.synch.host_base.SynchronizerHostBase`
+subclasses, like gamma_w's, and both runners go through the shared
+:func:`~repro.synch.host_base.run_hosts`: the result is the common
+:class:`~repro.synch.host_base.SyncResult`, with ``control_cost`` the
+``sync-alpha`` or ``sync-beta`` traffic, and an undersized ``max_pulse``
+raises :class:`RuntimeError`.  Fault-injected synchronizer runs go through
+:func:`repro.faults.runner.run_chaos`, as the ``gamma_w(max)`` chaos case
+does.
 """
 
 from __future__ import annotations
@@ -25,18 +34,14 @@ from collections import defaultdict
 from collections.abc import Callable
 from typing import Any
 
-from ..faults.plan import FaultPlan
-from ..faults.transport import reliable_factory
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from ..sim.network import Network, all_finished
 from ..sim.sync_runner import SynchronousProtocol
 from ..protocols.convergecast import rooted_tree_structure
-from .host_base import SynchronizerHostBase
+from .host_base import SynchronizerHostBase, SyncResult, run_hosts
 from .normalize import normalize_graph
 
-__all__ = ["AlphaWHost", "BetaWHost", "SimpleSyncResult", "run_alpha_w",
-           "run_beta_w"]
+__all__ = ["AlphaWHost", "BetaWHost", "run_alpha_w", "run_beta_w"]
 
 
 class AlphaWHost(SynchronizerHostBase):
@@ -149,54 +154,6 @@ class BetaWHost(SynchronizerHostBase):
             raise AssertionError(f"unknown beta_w message {kind!r}")
 
 
-class SimpleSyncResult:
-    """Outcome of an alpha_w / beta_w run, mirroring GammaWResult."""
-
-    def __init__(self, net_result, max_pulse: int, control_tag: str) -> None:
-        self.net_result = net_result
-        self.max_pulse = max_pulse
-        m = net_result.metrics
-        self.proto_cost = m.cost_by_tag.get("proto", 0.0)
-        self.ack_cost = m.cost_by_tag.get("sync-ack", 0.0)
-        self.control_cost = m.cost_by_tag.get(control_tag, 0.0)
-        self.overhead_cost = self.ack_cost + self.control_cost
-        self.comm_cost = m.comm_cost
-        self.time = m.completion_time
-        self.pulses = max(
-            p.pulses_executed for p in net_result.processes.values()
-        )
-
-    def result_of(self, v: Vertex) -> Any:
-        return self.net_result.processes[v].wrapper.inner_result
-
-    def results(self) -> dict:
-        return {v: self.result_of(v) for v in self.net_result.processes}
-
-    @property
-    def comm_overhead_per_pulse(self) -> float:
-        return self.overhead_cost / max(1, self.pulses)
-
-    @property
-    def time_per_pulse(self) -> float:
-        return self.time / max(1, self.pulses)
-
-
-def _run_host(graph, factory, max_pulse, delay, seed, control_tag,
-              faults=None, reliable=False, transport=None):
-    normalized = normalize_graph(graph)
-    if reliable:
-        factory = reliable_factory(factory, **(transport or {}))
-    net = Network(normalized, factory, delay=delay, seed=seed, faults=faults)
-    result = net.run(stop_when=all_finished)
-    if not net.all_finished:
-        if faults is not None:
-            # Under an adversary a stall is a legitimate, detectable
-            # outcome; hand the partial result back instead of raising.
-            return SimpleSyncResult(result, max_pulse, control_tag)
-        raise RuntimeError("synchronizer stalled (max_pulse too small?)")
-    return SimpleSyncResult(result, max_pulse, control_tag)
-
-
 def run_alpha_w(
     graph: WeightedGraph,
     inner_factory: Callable[[Vertex], SynchronousProtocol],
@@ -204,16 +161,15 @@ def run_alpha_w(
     max_pulse: int,
     delay: DelayModel | None = None,
     seed: int = 0,
-    faults: FaultPlan | None = None,
-    reliable: bool = False,
-    transport: dict | None = None,
-) -> SimpleSyncResult:
+) -> SyncResult:
     """Run a synchronous protocol under synchronizer alpha_w."""
-    return _run_host(
-        graph,
+    return run_hosts(
+        normalize_graph(graph),
         lambda v: AlphaWHost(v, graph, inner_factory, max_pulse),
-        max_pulse, delay, seed, "sync-alpha",
-        faults, reliable, transport,
+        "sync-alpha",
+        max_pulse=max_pulse,
+        delay=delay,
+        seed=seed,
     )
 
 
@@ -226,10 +182,7 @@ def run_beta_w(
     root: Vertex | None = None,
     delay: DelayModel | None = None,
     seed: int = 0,
-    faults: FaultPlan | None = None,
-    reliable: bool = False,
-    transport: dict | None = None,
-) -> SimpleSyncResult:
+) -> SyncResult:
     """Run a synchronous protocol under synchronizer beta_w.
 
     The coordination tree defaults to a shallow-light tree (weight O(V),
@@ -243,10 +196,12 @@ def run_beta_w(
     elif root is None:
         raise ValueError("explicit tree needs an explicit root")
     parent, children = rooted_tree_structure(tree, root)
-    return _run_host(
-        graph,
+    return run_hosts(
+        normalize_graph(graph),
         lambda v: BetaWHost(v, graph, inner_factory, max_pulse,
                             parent[v], children[v]),
-        max_pulse, delay, seed, "sync-beta",
-        faults, reliable, transport,
+        "sync-beta",
+        max_pulse=max_pulse,
+        delay=delay,
+        seed=seed,
     )

@@ -169,16 +169,21 @@ def _gamma_setup(n=10, extra=14, seed=4):
 
 def test_gamma_w_span_breakdown_is_exact():
     g, factory, max_pulse = _gamma_setup()
-    rec = TraceRecorder()
-    res = run_gamma_w(g, factory, max_pulse=max_pulse, recorder=rec)
-    assert sum(rec.cost_by_span.values()) == res.comm_cost
-    # The span tree refines the flat tag split exactly: payload sends
-    # happen inside the pulse window, control traffic nests deeper.
-    assert rec.cost_by_span["pulse"] == res.proto_cost
-    assert rec.cost_by_span["pulse/sync-ack"] == res.ack_cost
-    assert rec.cost_by_span["pulse/sync-gamma"] == res.gamma_cost
-    assert rec.counts["pulse"] > 0
-    assert rec.time_by_span["pulse"] > 0
+    for runner, control in ((run_alpha_w, "sync-alpha"),
+                            (run_beta_w, "sync-beta"),
+                            (run_gamma_w, "sync-gamma")):
+        with tracing() as session:
+            res = runner(g, factory, max_pulse=max_pulse)
+        rec = session.recorders[0][1]
+        assert sum(rec.cost_by_span.values()) == res.comm_cost
+        # The span tree refines the flat tag split exactly: payload sends
+        # happen inside the pulse window, control traffic nests deeper.
+        assert rec.cost_by_span["pulse"] == res.proto_cost
+        assert rec.cost_by_span["pulse/sync-ack"] == res.ack_cost
+        assert rec.cost_by_span[f"pulse/{control}"] == res.control_cost
+        assert res.control_cost > 0
+        assert rec.counts["pulse"] > 0
+        assert rec.time_by_span["pulse"] > 0
 
 
 @pytest.mark.parametrize("runner", [run_alpha_w, run_beta_w])

@@ -81,6 +81,50 @@ def test_journal_survives_torn_final_line(tmp_path):
     assert reopened.get(ADDR) is not None
 
 
+def test_put_after_torn_final_line_survives_reopen(tmp_path):
+    root = tmp_path / "cas"
+    ResultStore(root).put(ADDR, CANON, PAYLOAD)
+    with open(root / "index.jsonl", "a") as fh:
+        fh.write('{"op": "put", "addr')  # crashed writer
+    canon, addr = _addr(1)
+    ResultStore(root).put(addr, canon, PAYLOAD)
+    # Opening rewrote the torn journal, so the put did not land on the
+    # torn line and is replayed.
+    reopened = ResultStore(root)
+    assert reopened.get(ADDR) is not None and reopened.get(addr) is not None
+
+
+def test_journal_stays_short_under_eviction(tmp_path):
+    root = tmp_path / "cas"
+    index = root / "index.jsonl"
+    store = ResultStore(root, max_entries=10)
+    for i in range(300):
+        canon, addr = _addr(i)
+        store.put(addr, canon, dict(PAYLOAD, i=i))
+        assert len(index.read_text().splitlines()) <= 2 * 10 + 64
+    assert store.evictions == 290
+    reopened = ResultStore(root, max_entries=10)
+    # Same entries, same FIFO order, same sizes as the files on disk.
+    assert list(reopened._entries.items()) == list(store._entries.items())
+    on_disk = sum(p.stat().st_size for p in (root / "objects").rglob("*.json"))
+    assert reopened.nbytes == store.nbytes == on_disk
+    assert all(reopened.get(a) is not None for a in store._entries)
+
+
+def test_long_journal_is_compacted_on_open(tmp_path):
+    root = tmp_path / "cas"
+    ResultStore(root).put(ADDR, CANON, PAYLOAD)
+    _canon, gone = _addr(1)
+    with open(root / "index.jsonl", "a") as fh:
+        for _ in range(50):
+            fh.write(json.dumps({"op": "put", "address": gone, "nbytes": 1}) + "\n")
+            fh.write(json.dumps({"op": "del", "address": gone, "nbytes": 0}) + "\n")
+    reopened = ResultStore(root)
+    assert list(reopened._entries) == [ADDR]
+    lines = (root / "index.jsonl").read_text().splitlines()
+    assert [json.loads(line)["address"] for line in lines] == [ADDR]
+
+
 def test_vanished_object_file_is_a_miss(tmp_path):
     root = tmp_path / "cas"
     store = ResultStore(root)

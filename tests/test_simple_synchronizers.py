@@ -12,7 +12,14 @@ from repro.graphs import (
 )
 from repro.protocols.spt_synch import SyncBellmanFord
 from repro.sim import UniformDelay
-from repro.synch import run_alpha_w, run_beta_w, run_gamma_w
+from repro.synch import (
+    InSynchWrapper,
+    next_multiple,
+    power,
+    run_alpha_w,
+    run_beta_w,
+    run_gamma_w,
+)
 
 
 def _bf_factory(graph, source=0):
@@ -70,6 +77,42 @@ def test_beta_w_under_random_delays():
     res = run_beta_w(g, factory, max_pulse=_max_pulse(g, stop),
                      delay=UniformDelay(), seed=3)
     _verify(g, res)
+
+
+@pytest.mark.parametrize("runner", [run_alpha_w, run_beta_w, run_gamma_w])
+def test_messages_arrive_exactly_w_hat_pulses_after_sending(runner,
+                                                            monkeypatch):
+    """The shared data plane: a message the wrapper sends at outer pulse p
+    on an edge of normalized weight w_hat is in the inbox of pulse
+    p + w_hat, not a pulse earlier or later, under every synchronizer."""
+    g = random_connected_graph(12, 18, seed=9, max_weight=5)
+    factory, stop = _bf_factory(g)
+    arrivals = []
+    on_pulse = InSynchWrapper.on_pulse
+
+    def recording_on_pulse(self, pulse, inbox):
+        for frm, (_payload, inner_t) in inbox:
+            w_hat = power(self.original_weights[frm])
+            sent = next_multiple(InSynchWrapper.SLOWDOWN * inner_t, w_hat)
+            arrivals.append((pulse, sent + w_hat))
+        on_pulse(self, pulse, inbox)
+
+    monkeypatch.setattr(InSynchWrapper, "on_pulse", recording_on_pulse)
+    res = runner(g, factory, max_pulse=_max_pulse(g, stop),
+                 delay=UniformDelay(), seed=3)
+    _verify(g, res)
+    assert arrivals
+    assert all(got == expected for got, expected in arrivals)
+
+
+@pytest.mark.parametrize("runner", [run_alpha_w, run_beta_w])
+def test_undersized_max_pulse_raises(runner):
+    """Like gamma_w's, an alpha_w/beta_w stall raises instead of returning
+    a partial result."""
+    g = path_graph(6, weight=4.0)
+    factory, _stop = _bf_factory(g)
+    with pytest.raises(RuntimeError, match=r"6 of 6 .*max_pulse=2"):
+        runner(g, factory, max_pulse=2)
 
 
 def test_beta_w_explicit_tree_requires_root():

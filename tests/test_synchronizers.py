@@ -28,7 +28,6 @@ from repro.synch import (
     normalize_graph,
     power,
     run_gamma_w,
-    run_synchronous_baseline,
 )
 
 
@@ -222,7 +221,7 @@ def test_gamma_w_overhead_accounting():
     g = random_connected_graph(16, 25, seed=11, max_weight=8)
     res, _ = run_spt_synch(g, 0, k=2)
     assert res.pulses >= 1
-    assert res.overhead_cost == pytest.approx(res.ack_cost + res.gamma_cost)
+    assert res.overhead_cost == pytest.approx(res.ack_cost + res.control_cost)
     assert res.comm_cost == pytest.approx(
         res.proto_cost + res.overhead_cost
     )
@@ -253,13 +252,23 @@ def test_gamma_w_stall_detection():
         )
 
 
-def test_run_synchronous_baseline_helper():
-    g = path_graph(5, weight=2.0)
-    res = run_synchronous_baseline(
-        g, lambda v: SyncBellmanFord(v == 0, int(diameter(g)) + 1)
-    )
-    d, _ = res.result_of(4)
-    assert d == pytest.approx(8.0)
+def test_gamma_w_budget_stop_is_not_a_stall():
+    """A run the budget stopped comes back incomplete; a stall the budget
+    did not cause raises, with or without a budget."""
+    g = path_graph(6, weight=4.0)
+    factory = lambda v: SyncBellmanFord(v == 0, int(diameter(g)) + 1)
+    res = run_gamma_w(g, factory, k=2, max_pulse=2, budget=20.0)
+    assert not res.completed
+    assert 0 < res.comm_cost <= 20.0
+    with pytest.raises(RuntimeError, match=r"6 of 6 .*max_pulse=2"):
+        run_gamma_w(g, factory, k=2, max_pulse=2)
+    with pytest.raises(RuntimeError, match="max_pulse=2"):
+        run_gamma_w(g, factory, k=2, max_pulse=2, budget=1e6)
+    full, _tree = run_spt_synch(g, 0)
+    assert full.completed
+    half, tree = run_spt_synch(g, 0, budget=full.comm_cost / 2)
+    assert not half.completed and tree is None
+    assert half.comm_cost <= full.comm_cost / 2
 
 
 def test_gamma_w_stress_many_configurations():
