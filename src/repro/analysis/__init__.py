@@ -9,8 +9,8 @@ distributed-verification line of work the paper's MST section builds on:
 * a **static pass** (``python -m repro.analysis``): an AST linter with
   rule codes ``RS001``–``RS005`` covering hash-order iteration, seeded-RNG
   bypass, wall-clock reads, graph-cache invalidation, and shared-state
-  aliasing (:mod:`repro.analysis.rules`), with a committed-baseline gate
-  (:mod:`repro.analysis.baseline`) so CI fails only on *new* findings;
+  aliasing (:mod:`repro.analysis.rules`); CI fails on any finding, and a
+  ``# repro: allow RSxxx -- reason`` marker is the one escape hatch;
 
 * a **message-flow pass** (``python -m repro.analysis --flow``): an
   interprocedural checker (:mod:`repro.analysis.flow`) that extracts each
@@ -29,7 +29,6 @@ distributed-verification line of work the paper's MST section builds on:
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineError, diff_against
 from .findings import Finding
 from .flow import (
     PROTOCOL_MODULES,
@@ -52,9 +51,6 @@ __all__ = [
     "FLOW_CODES",
     "RULES",
     "analyze_source",
-    "Baseline",
-    "BaselineError",
-    "diff_against",
     "ModuleFlow",
     "PROTOCOL_MODULES",
     "extract_module_flow",

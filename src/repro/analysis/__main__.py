@@ -13,10 +13,9 @@ across runs).
 the message-flow graph of the scanned files as Graphviz DOT; ``--graph``
 prints the per-module ASCII flow graphs instead of linting.
 
-Exit status: 0 when every finding is covered by the baseline (or there are
-none), 1 when new findings exist, 2 on usage errors.  ``--write-baseline``
-accepts the current findings into the baseline file (each entry carries a
-justification — edit it to say *why* each one is acceptable).
+Exit status: 0 when there are no findings, 1 on any finding, 2 on usage
+errors.  A justified exception is marked at its source line with
+``# repro: allow RSxxx -- reason``; nothing else silences a finding.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import json
 import sys
 from pathlib import Path
 
-from .baseline import Baseline, BaselineError, diff_against
 from .findings import Finding
 from .flow import ModuleFlow, extract_module_flow, flow_to_ascii, flow_to_dot
 from .rules import FLOW_CODES, RULES, analyze_source
@@ -48,7 +46,7 @@ def _iter_py_files(paths: list[Path]) -> list[Path]:
 
 
 def _rel(path: Path) -> str:
-    """Repo-relative posix path when possible (stable baseline keys)."""
+    """Repo-relative posix path when possible (stable report paths)."""
     try:
         return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
     except ValueError:
@@ -102,11 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--graph", action="store_true",
                         help="print per-module ASCII flow graphs and exit "
                              "(no linting)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline JSON; findings it covers do not fail")
-    parser.add_argument("--write-baseline", type=Path, default=None,
-                        metavar="PATH",
-                        help="accept current findings into PATH and exit 0")
     parser.add_argument("--explain", action="store_true",
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
@@ -146,51 +139,23 @@ def main(argv: list[str] | None = None) -> int:
 
     findings = collect_findings(paths, rules=rules)
 
-    if args.write_baseline is not None:
-        Baseline.from_findings(
-            findings,
-            justification="TODO: justify why this finding is acceptable",
-        ).dump(args.write_baseline)
-        print(f"wrote {len(findings)} finding(s) to {args.write_baseline}")
-        return 0
-
-    baseline = Baseline()
-    if args.baseline is not None:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, BaselineError) as exc:
-            print(f"baseline error: {exc}", file=sys.stderr)
-            return 2
-
-    new, stale = diff_against(findings, baseline)
-
     if args.format == "jsonl":
         for f in findings:
-            doc = f.as_dict()
-            doc["baselined"] = f in baseline
-            print(json.dumps(doc, sort_keys=True))
+            print(json.dumps(f.as_dict(), sort_keys=True))
     elif args.format == "github":
-        # Workflow-command annotations: one ::error per *new* finding so
-        # the Actions UI pins them to the diff; columns are 1-based there.
-        for f in new:
+        # Workflow-command annotations: one ::error per finding so the
+        # Actions UI pins them to the diff; columns are 1-based there.
+        for f in findings:
             where = f" [in {f.context}]" if f.context != "<module>" else ""
             print(f"::error file={f.path},line={f.line},col={f.col + 1},"
                   f"title={f.rule}::{f.message}{where}")
-        print(f"{len(new)} finding(s)")
+        print(f"{len(findings)} finding(s)")
     else:
-        for f in new:
+        for f in findings:
             print(f.render())
-        accepted = len(findings) - len(new)
-        summary = f"{len(new)} finding(s)"
-        if accepted:
-            summary += f" ({accepted} more covered by baseline)"
-        print(summary)
-        for entry in stale:
-            print(f"warning: stale baseline entry "
-                  f"{entry['rule']} {entry['path']} ({entry['snippet']!r}) "
-                  f"matches nothing; prune it", file=sys.stderr)
+        print(f"{len(findings)} finding(s)")
 
-    return 1 if new else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

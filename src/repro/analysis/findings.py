@@ -1,11 +1,4 @@
-"""The finding record shared by every analysis rule.
-
-A :class:`Finding` is one determinism hazard at one source location.  Its
-*fingerprint* deliberately excludes the line number: baselines must survive
-unrelated edits above a finding, so identity is (rule, file, enclosing
-scope, normalized source line) — stable under line drift, invalidated the
-moment the offending line itself changes.
-"""
+"""The finding record shared by every analysis rule."""
 
 from __future__ import annotations
 
@@ -29,11 +22,6 @@ class Finding:
     message: str  #: human-readable description of the hazard
     context: str  #: enclosing scope qualname (``"<module>"`` at top level)
     snippet: str  #: stripped source line the finding points at
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str, str]:
-        """Line-drift-stable identity used for baseline matching."""
-        return (self.rule, self.path, self.context, self.snippet)
 
     def as_dict(self) -> dict[str, object]:
         """The finding as a plain JSON-ready dict (stable key order)."""

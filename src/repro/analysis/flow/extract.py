@@ -692,12 +692,6 @@ class _ClassExtractor:
         flow.clauses.sort(key=lambda c: (c.line, c.kind))
         return flow
 
-    def tainted_params(self) -> dict[str, frozenset[str]]:
-        return {
-            name: frozenset(info.tainted)
-            for name, info in self.methods.items()
-        }
-
 
 def extract_module_flow(tree: ast.Module, path: str,
                         source: str) -> ModuleFlow:

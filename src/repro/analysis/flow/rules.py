@@ -3,8 +3,8 @@
 These rules run over the :mod:`repro.analysis.flow.extract` model and
 reuse the base framework end to end: findings are ordinary
 :class:`~repro.analysis.findings.Finding` objects, ``# repro: allow
-RSxxx`` markers suppress at the source, and the committed baseline gates
-CI.  Granularity is the *module* — the protocols are peer-symmetric, so a
+RSxxx`` markers suppress at the source, and CI fails on any finding.
+Granularity is the *module* — the protocols are peer-symmetric, so a
 kind sent by one class and dispatched by another class in the same module
 (reliable transport, synchronizer hosts) is a satisfied contract.
 

@@ -1,7 +1,6 @@
 """Clusters, covers, sparse-cover coarsening (Thm 1.1) and tree edge-covers."""
 
 from .clusters import (
-    cluster_center,
     cluster_radius,
     cover_degree,
     cover_radius,
@@ -15,7 +14,6 @@ from .tree_cover import CoverTree, TreeEdgeCover, build_tree_edge_cover
 
 __all__ = [
     "cluster_radius",
-    "cluster_center",
     "cover_radius",
     "cover_degree",
     "max_cover_degree",

@@ -22,7 +22,6 @@ __all__ = [
     "Cluster",
     "Cover",
     "cluster_radius",
-    "cluster_center",
     "cover_radius",
     "cover_degree",
     "max_cover_degree",
@@ -48,12 +47,6 @@ def cluster_radius(graph: WeightedGraph, cluster: Iterable[Vertex]) -> float:
     sub = graph.induced_subgraph(set(cluster))
     rad, _ = radius_center(sub)
     return rad
-
-def cluster_center(graph: WeightedGraph, cluster: Iterable[Vertex]) -> Vertex:
-    """A vertex of S achieving the radius of G(S)."""
-    sub = graph.induced_subgraph(set(cluster))
-    _, center = radius_center(sub)
-    return center
 
 
 def cover_radius(graph: WeightedGraph, cover: Iterable[Iterable[Vertex]]) -> float:

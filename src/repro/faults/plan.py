@@ -178,12 +178,6 @@ class FaultPlan:
         return cls(drop=rate, seed=seed)
 
     @classmethod
-    def lossy_and_noisy(cls, rate: float, *, seed: int = 0) -> FaultPlan:
-        """Split ``rate`` evenly across drop / corrupt / duplicate."""
-        return cls(drop=rate / 3, corrupt=rate / 3, duplicate=rate / 3,
-                   seed=seed)
-
-    @classmethod
     def random_crashes(
         cls,
         nodes: Iterable[Vertex],

@@ -2,11 +2,11 @@
 
 :class:`ReliableProcess` wraps any :class:`~repro.sim.process.Process`
 without modifying protocol code (the same shim-context technique as
-:class:`~repro.sim.mux.MuxProcess`): every send of the inner protocol is
-framed with a per-destination sequence number, acknowledged by the
-receiver, and retransmitted on timeout until acknowledged; the receiver
-suppresses duplicates and releases frames to the inner protocol *in
-sequence order*, restoring the FIFO-channel abstraction the protocols
+:class:`~repro.protocols.termination.DSHost`): every send of the inner
+protocol is framed with a per-destination sequence number, acknowledged
+by the receiver, and retransmitted on timeout until acknowledged; the
+receiver suppresses duplicates and releases frames to the inner protocol
+*in sequence order*, restoring the FIFO-channel abstraction the protocols
 were written against even when the adversary drops, duplicates, corrupts
 or reorders transmissions.
 
@@ -239,14 +239,6 @@ class ReliableProcess(Process):
             expected += 1
             self._deliver_next[frm] = expected
             self.inner.on_message(frm, released)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def unacked_frames(self) -> int:
-        return len(self._outstanding)
 
 
 def reliable_factory(

@@ -59,7 +59,6 @@ from .npkernels import (
     np_all_sources_scan,
     np_flat_of,
     np_flat_source_stats,
-    np_graph_of,
     numpy_available,
     set_kernel_backend,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "numpy_available",
     "backend_info",
     "NPGraph",
-    "np_graph_of",
     "np_all_sources_scan",
     # flat snapshots + zero-copy shared-memory transport
     "FlatGraph",

@@ -67,7 +67,6 @@ import os
 from typing import Any
 
 from .csr import CSRGraph, FlatGraph, GraphScan
-from .weighted_graph import WeightedGraph
 
 __all__ = [
     "KERNEL_BACKEND_ENV",
@@ -77,7 +76,6 @@ __all__ = [
     "set_kernel_backend",
     "backend_info",
     "NPGraph",
-    "np_graph_of",
     "NPFlat",
     "np_flat_of",
     "np_flat_source_stats",
@@ -228,17 +226,6 @@ class NPGraph:
             f"NPGraph(n={self.n}, m={self.m2 // 2}, "
             f"int={self.use_int}, version={self.version})"
         )
-
-
-def np_graph_of(graph: WeightedGraph) -> NPGraph:
-    """The memoized NumPy snapshot of ``graph`` (rebuilt after mutations).
-
-    Routed through :class:`~repro.graphs.cache.GraphParamCache` alongside
-    the CSR snapshot, sharing its version-checked invalidation.
-    """
-    from .cache import param_cache  # deferred: cache imports our kernels
-
-    return param_cache(graph).npg()
 
 
 class NPFlat:

@@ -77,9 +77,3 @@ def tracing(limit: int | None = None, label: str | None = None):
         yield session
     finally:
         _session = prev
-
-
-def _reset_for_tests() -> None:
-    """Drop any active session (test isolation hook)."""
-    global _session
-    _session = None

@@ -20,7 +20,6 @@ from typing import Any
 
 from ..faults.plan import FaultPlan
 from ..faults.transport import reliable_factory
-from ..graphs.paths import tree_distances
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
 from ..sim.network import Network, RunResult
@@ -158,8 +157,3 @@ def run_convergecast(
     net = Network(tree, factory, delay=delay, seed=seed, faults=faults)
     result = net.run()
     return result, result.result_of(root)
-
-
-def tree_depth(tree: WeightedGraph, root: Vertex) -> float:
-    """Weighted depth of ``tree`` below ``root`` (time bound for both patterns)."""
-    return max(tree_distances(tree, root).values(), default=0.0)

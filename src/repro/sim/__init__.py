@@ -30,7 +30,3 @@ __all__ = [
     "SynchronousRunner",
     "SyncRunResult",
 ]
-
-from .mux import MuxProcess  # noqa: E402
-
-__all__.append("MuxProcess")

@@ -498,9 +498,6 @@ class Network:
             with race.run_as(node):
                 self.processes[node].on_recover()
 
-    def node_is_up(self, node: Vertex) -> bool:
-        return node not in self._down
-
     def _node_finished(self, node: Vertex) -> None:
         self._finished_count += 1
         self.metrics.completion_time = self.queue.now

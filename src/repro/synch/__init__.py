@@ -4,7 +4,7 @@ from .clock_alpha import AlphaStarProcess, run_alpha_star
 from .clock_base import ClockProcess, ClockStats, check_causality, run_clock_sync
 from .clock_beta import BetaStarProcess, center_spt, run_beta_star
 from .clock_gamma import GammaStarConfig, GammaStarProcess, run_gamma_star
-from .gamma import GammaNode, gamma_configs
+from .gamma import GammaNode
 from .gamma_w import GammaWConfig, GammaWHost, pulse_bounds, run_gamma_w
 from .host_base import SyncResult, SynchronizerHostBase
 from .normalize import InSynchWrapper, next_multiple, normalize_graph, power
@@ -24,7 +24,6 @@ __all__ = [
     "GammaStarConfig",
     "run_gamma_star",
     "GammaNode",
-    "gamma_configs",
     "ClusterPartition",
     "ClusterInfo",
     "build_partition",

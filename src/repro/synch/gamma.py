@@ -30,7 +30,7 @@ from typing import Any
 from ..graphs.weighted_graph import Vertex
 from .partition import ClusterPartition
 
-__all__ = ["GammaNode", "gamma_configs"]
+__all__ = ["GammaNode"]
 
 # Message kinds.
 SUBTREE_SAFE = "subtree_safe"   # (kind, P)
@@ -164,12 +164,3 @@ class GammaNode:
         for c in self.tree_children:
             self.send(c, (GO, pulse))
         self.on_go(pulse)
-
-
-def gamma_configs(partition: ClusterPartition) -> dict:
-    """Sanity statistics of a partition for gamma cost accounting."""
-    return {
-        "clusters": len(partition.clusters),
-        "max_depth_hops": partition.max_depth_hops,
-        "preferred_edges": partition.num_preferred,
-    }

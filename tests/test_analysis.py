@@ -8,12 +8,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineError,
     RaceDetector,
     SharedStateViolation,
     analyze_source,
-    diff_against,
 )
 from repro.analysis.__main__ import collect_findings, main
 from repro.analysis.rules import RULES
@@ -95,60 +92,6 @@ def test_render_format():
 
 
 # --------------------------------------------------------------------- #
-# Baseline
-# --------------------------------------------------------------------- #
-
-
-def _findings():
-    source = (FIXTURES / "rs002_global_rng.py").read_text()
-    return analyze_source(source, path="rs002_global_rng.py")
-
-
-def test_baseline_covers_and_diffs(tmp_path):
-    findings = _findings()
-    bl = Baseline.from_findings(findings, justification="planted")
-    new, stale = diff_against(findings, bl)
-    assert new == [] and stale == []
-    # A fresh finding not in the baseline is reported as new.
-    extra = analyze_source("import time\ntime.time()\n", path="other.py")
-    new, stale = diff_against(findings + extra, bl)
-    assert new == extra and stale == []
-    # Baseline entries matching nothing are stale.
-    new, stale = diff_against([], bl)
-    assert new == [] and len(stale) == len(findings)
-
-
-def test_baseline_roundtrip(tmp_path):
-    path = tmp_path / "baseline.json"
-    bl = Baseline.from_findings(_findings(), justification="planted")
-    bl.dump(path)
-    loaded = Baseline.load(path)
-    for f in _findings():
-        assert f in loaded
-
-
-def test_baseline_rejects_missing_justification(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "findings": [{"rule": "RS001", "path": "x.py",
-                      "context": "f", "snippet": "for v in s:",
-                      "justification": ""}],
-    }))
-    with pytest.raises(BaselineError):
-        Baseline.load(path)
-
-
-def test_baseline_is_line_drift_stable():
-    source = "import random\nrandom.random()\n"
-    shifted = "# a new comment line\nimport random\nrandom.random()\n"
-    bl = Baseline.from_findings(
-        analyze_source(source, path="m.py"), justification="planted")
-    new, _stale = diff_against(analyze_source(shifted, path="m.py"), bl)
-    assert new == []
-
-
-# --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
 
@@ -163,24 +106,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_baseline_flow(tmp_path, capsys):
-    dirty = FIXTURES / "rs002_global_rng.py"
-    baseline = tmp_path / "baseline.json"
-    assert main([str(dirty), "--write-baseline", str(baseline)]) == 0
-    assert main([str(dirty), "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-
-
 def test_cli_jsonl_output(capsys):
     dirty = FIXTURES / "rs003_wall_clock.py"
     assert main([str(dirty), "--format", "jsonl"]) == 1
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
     docs = [json.loads(ln) for ln in lines]
     assert docs and all(d["rule"] == "RS003" for d in docs)
-    assert all(d["baselined"] is False for d in docs)
+    # Each line is exactly the finding's as_dict(), no extra keys.
+    assert docs == [f.as_dict() for f in collect_findings([dirty])]
 
 
-def test_cli_repo_tree_is_clean_or_baselined():
+def test_cli_repo_tree_is_clean():
     """The committed source tree must lint clean (the CI gate)."""
     src = Path(__file__).parent.parent / "src" / "repro"
     findings = collect_findings([src])
@@ -204,16 +140,6 @@ def test_cli_github_format_annotations(capsys):
                      if ln.startswith("::error ")]
     assert "title=RS006" in annotation
     assert "file=" in annotation and "line=9" in annotation
-
-
-def test_cli_github_format_silent_when_baselined(tmp_path, capsys):
-    dirty = FIXTURES / "rs002_global_rng.py"
-    baseline = tmp_path / "baseline.json"
-    assert main([str(dirty), "--write-baseline", str(baseline)]) == 0
-    assert main([str(dirty), "--baseline", str(baseline),
-                 "--format", "github"]) == 0
-    out = capsys.readouterr().out
-    assert "::error" not in out
 
 
 # --------------------------------------------------------------------- #

@@ -16,7 +16,10 @@ from repro.covers import (
     max_cover_degree,
     subsumes,
 )
-from repro.covers.coarsening import theoretical_radius_bound
+from repro.covers.coarsening import (
+    theoretical_degree_bound,
+    theoretical_radius_bound,
+)
 from repro.graphs import (
     grid_graph,
     max_neighbor_distance,
@@ -118,9 +121,8 @@ def test_coarsen_radius_and_degree_bounds(n, extra, seed, k):
     # Radius bound of Theorem 1.1.
     r0 = cover_radius(g, initial)
     assert cover_radius(g, cover) <= theoretical_radius_bound(k, r0) + 1e-9
-    # Degree bound: |S|^{1/k} * (ln|S| + 1) + 1 (pass-structured bound).
-    m = len(initial)
-    bound = m ** (1.0 / k) * (math.log(m) + 1.0) + 1.0
+    # Degree bound of the pass-structured construction.
+    bound = theoretical_degree_bound(k, len(initial))
     assert max_cover_degree(cover) <= bound + 1e-9
 
 

@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run end to end."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +16,14 @@ FAST = ["quickstart.py", "slt_walkthrough.py", "message_timeline.py",
 
 
 @pytest.mark.parametrize("script", FAST)
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
+    # Examples that write files (trace_demo.py) put them in a fresh
+    # tempfile directory and print its path for the reader; point TMPDIR
+    # at pytest's tmp_path so those directories are cleaned up.
+    env = dict(os.environ, TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / script)],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
