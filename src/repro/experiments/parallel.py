@@ -30,7 +30,9 @@ parallel sweeps produce byte-identical row lists.
   graph shapes or snapshots it sweeps, so pool spin-up (fork +
   interpreter init per worker) is paid once per session
   (``shutdown_pool`` disposes it; an ``atexit`` hook does so at
-  interpreter exit);
+  interpreter exit).  Callers in several threads share it: creation and
+  disposal take a lock, and a caller whose map broke disposes the pool
+  only while it is still the live one;
 * workers simulate nothing outside their cells: the dispatching process
   computes each *warm spec*'s fault-free references once — one
   ``(n, extra_edges, graph_seed, protocols)`` tuple per graph shape in
@@ -53,6 +55,7 @@ import atexit
 import hashlib
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -106,8 +109,11 @@ _CHUNK_WAVES = 4
 _MIN_CELLS_PER_WORKER = 2
 
 # The one live pool and the (jobs, kernel backend) key that built it.
+# ``_pool_lock`` guards both: threads that dispatch at once (a service's
+# cold requests) must create one pool, and never dispose another's.
 _pool: ProcessPoolExecutor | None = None
 _pool_key: tuple | None = None
+_pool_lock = threading.Lock()
 _atexit_registered = False
 
 
@@ -171,12 +177,19 @@ def shutdown_pool() -> None:
         shm.unlink_all()
 
 
-def _dispose_pool() -> None:
+def _dispose_pool(pool: ProcessPoolExecutor | None = None) -> None:
+    """Dispose the live pool; given ``pool``, only while it is still live.
+
+    A caller whose map broke passes the pool it mapped over: another
+    thread may already have replaced it, and the replacement serves maps
+    that must not be cancelled.
+    """
     global _pool, _pool_key
-    if _pool is not None:
-        _pool.shutdown(wait=True, cancel_futures=True)
-        _pool = None
-        _pool_key = None
+    with _pool_lock:
+        if _pool is None or (pool is not None and pool is not _pool):
+            return
+        live, _pool, _pool_key = _pool, None, None
+    live.shutdown(wait=True, cancel_futures=True)
 
 
 def _get_pool(jobs: int) -> ProcessPoolExecutor:
@@ -187,16 +200,22 @@ def _get_pool(jobs: int) -> ProcessPoolExecutor:
 
     backend = kernel_backend()
     key = (jobs, backend)
-    if _pool is not None and _pool_key != key:
-        _dispose_pool()
-    if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                    initargs=(backend,))
-        _pool_key = key
-        if not _atexit_registered:
-            atexit.register(shutdown_pool)
-            _atexit_registered = True
-    return _pool
+    stale = None
+    with _pool_lock:
+        if _pool is not None and _pool_key != key:
+            stale, _pool = _pool, None
+        if _pool is None:
+            _pool = ProcessPoolExecutor(max_workers=jobs,
+                                        initializer=_worker_init,
+                                        initargs=(backend,))
+            _pool_key = key
+            if not _atexit_registered:
+                atexit.register(shutdown_pool)
+                _atexit_registered = True
+        pool = _pool
+    if stale is not None:
+        stale.shutdown(wait=True, cancel_futures=True)
+    return pool
 
 
 def _run_task(task: tuple) -> list:
@@ -243,10 +262,12 @@ def run_parallel(
     worker simulates anything outside its cells.
 
     ``force`` overrides the plan: ``"serial"`` never touches a pool,
-    ``"pool"`` shards even when the plan would fall back (benchmarks and
-    tests use it to exercise the real pool path regardless of host CPU
-    count).  If the pool's workers die mid-map (``BrokenProcessPool``),
-    the pool alone is disposed — published snapshots stay — and the
+    ``"pool"`` shards even when the plan would fall back (the serve
+    executor uses it to keep every cold request out of its process;
+    benchmarks and tests, to exercise the real pool path regardless of
+    host CPU count).  If the pool's workers die mid-map
+    (``BrokenProcessPool``), the pool alone is disposed, unless another
+    caller has replaced it already — published snapshots stay — and the
     whole map re-runs serially; cells are pure functions of their
     description, so a re-run is byte-identical.
     """
@@ -273,7 +294,7 @@ def run_parallel(
     try:
         return [row for rows in pool.map(_run_task, tasks) for row in rows]
     except BrokenProcessPool:
-        _dispose_pool()
+        _dispose_pool(pool)
         return [fn(c) for c in cells]
 
 

@@ -43,6 +43,7 @@ import atexit
 import importlib
 import mmap
 import os
+import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -110,6 +111,9 @@ _attached: OrderedDict[tuple[str, int], FlatGraph] = OrderedDict()
 _MAX_ATTACHED = 8
 # Publisher wrappers inherited by a forked child, never torn down there.
 _retained: list[Any] = []
+# Serializes publish(): two threads publishing one graph would otherwise
+# both create its segment, the second by unlinking the first's.
+_publish_lock = threading.Lock()
 
 _counters = {
     "shm_creates": 0,
@@ -205,8 +209,14 @@ def publish(flat: FlatGraph, key: str | None = None) -> SnapshotHandle:
     creation fails — no shared memory on the platform, /dev/shm full —
     the handle is still returned with ``segment=None`` and the sweep
     proceeds on the rebuild fallback, with the failure counted and
-    warned once.
+    warned once.  Thread-safe: concurrent publishers of one graph share a
+    single segment.
     """
+    with _publish_lock:
+        return _publish(flat, key)
+
+
+def _publish(flat: FlatGraph, key: str | None) -> SnapshotHandle:
     k = key if key is not None else flat.fingerprint
     entry = _published.get(k)
     if entry is not None:
@@ -407,8 +417,11 @@ def _after_fork_in_child() -> None:
     ``BufferError`` while views are exported.  Disarm and retain the
     wrappers, clear the registries so workers resolve handles through the
     real :func:`attach` path, and zero the counters so worker-side
-    :func:`stats` reports only the child's own transport activity.
+    :func:`stats` reports only the child's own transport activity.  The
+    publish lock is replaced: another thread may have held it at the fork.
     """
+    global _publish_lock
+    _publish_lock = threading.Lock()
     for _handle, seg, _flat in _published.values():
         if seg is not None:
             seg.close = lambda: None

@@ -33,7 +33,12 @@ __all__ = ["ServeClient", "TCPServeClient"]
 
 
 class ServeClient:
-    """Synchronous in-process client over a private event loop thread."""
+    """Synchronous in-process client over a private event loop thread.
+
+    The keyword arguments are :class:`ServeService`'s: with ``jobs > 1``
+    every cold request runs in a persistent pool of that many worker
+    processes, and with ``jobs=None`` (the default) in this process.
+    """
 
     def __init__(
         self,

@@ -9,6 +9,14 @@ direct :func:`~repro.experiments.parallel.chaos_rows` /
 :func:`~repro.replay.record_run` call produces — the property that makes
 the cache sound.
 
+With a pool (``jobs > 1``) every request runs in its workers, one-cell
+``chaos`` and ``trace`` requests included, so the calling process only
+dispatches and waits: it never holds the interpreter lock for a
+simulation.  A sweep's fault-free references are computed by one pool
+cell first and then shipped with every task of the sweep, so no worker
+simulates outside a cell it ran.  Without a pool the same cells run
+in-process.
+
 Small-cell batching: sweeps with many cheap cells are dispatched in
 grouped batches (``run_parallel(..., batch=...)``, the ``snapshot_rows``
 mechanism), so a pooled request pays one pickle round-trip per *group*
@@ -17,11 +25,14 @@ rather than per cell.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .address import RequestError
 
-__all__ = ["execute_request", "BATCH_THRESHOLD", "BATCH_SIZE"]
+if TYPE_CHECKING:
+    from ..experiments.chaos import RunSpec
+
+__all__ = ["execute_request", "run_trace_cell", "BATCH_THRESHOLD", "BATCH_SIZE"]
 
 # Grouped dispatch kicks in at this many cells; below it, per-cell
 # dispatch balances better and pickling is already cheap.
@@ -33,7 +44,15 @@ def _auto_batch(n_cells: int) -> int | None:
     return BATCH_SIZE if n_cells >= BATCH_THRESHOLD else None
 
 
+def _force(jobs: int | None) -> str | None:
+    """``"pool"`` when the service has one, whatever the cell count:
+    otherwise :func:`~repro.experiments.parallel.parallel_plan` would run
+    small requests in the calling process."""
+    return "pool" if jobs is not None and jobs > 1 else None
+
+
 def _execute_sweep(canon: dict, jobs: int | None) -> list[dict]:
+    from ..experiments.chaos import _seed_references, _warm_references
     from ..experiments.parallel import chaos_cells, run_chaos_cell, run_parallel
 
     cells = chaos_cells(
@@ -49,25 +68,34 @@ def _execute_sweep(canon: dict, jobs: int | None) -> list[dict]:
     )
     warm = ((canon["n"], canon["extra_edges"], canon["graph_seed"],
              None if canon["protocols"] is None else tuple(canon["protocols"])),)
+    force = _force(jobs)
+    if force == "pool":
+        # One pool cell computes the references.  Entered into this
+        # process's memo, they are what warm= ships with every task, so
+        # neither this process nor a worker runs one outside that cell.
+        _seed_references(run_parallel(_warm_references, [warm], jobs=jobs,
+                                      force=force)[0])
     return run_parallel(run_chaos_cell, cells, jobs=jobs, warm=warm,
-                        batch=_auto_batch(len(cells)))
+                        force=force, batch=_auto_batch(len(cells)))
 
 
 def _execute_chaos(canon: dict, jobs: int | None) -> dict:
     """One sweep cell: a positive ``drop`` becomes a message-loss plan
     seeded by ``fault_seed``, ``trace`` becomes ``limit=0``."""
     from ..experiments.chaos import RunSpec
-    from ..experiments.parallel import run_chaos_cell
+    from ..experiments.parallel import run_chaos_cell, run_parallel
     from ..faults.plan import FaultPlan
 
     drop = canon["drop"]
-    return run_chaos_cell(RunSpec(
+    spec = RunSpec(
         canon["protocol"], canon["n"], canon["extra_edges"],
         canon["graph_seed"], reliable=canon["reliable"],
         plan=(FaultPlan.message_loss(drop, seed=canon["fault_seed"])
               if drop > 0 else None),
         limit=0 if canon["trace"] else None, race=canon["race_detect"],
-    ))
+    )
+    return run_parallel(run_chaos_cell, [spec], jobs=jobs,
+                        force=_force(jobs))[0]
 
 
 def _execute_snapshot(canon: dict, jobs: int | None) -> list[dict]:
@@ -94,16 +122,27 @@ def _execute_snapshot(canon: dict, jobs: int | None) -> list[dict]:
         limit=canon["limit"],
         cell_size=canon["cell_size"],
         kernel=canon["backend"],
+        force=_force(jobs),
         batch=_auto_batch(n_cells),
     )
 
 
-def _execute_trace(canon: dict, jobs: int | None) -> str:
-    from ..experiments.chaos import RunSpec
+def run_trace_cell(spec: RunSpec) -> str:
+    """One ``trace`` request's cell: the replayable trace document that
+    :func:`~repro.replay.record_run` writes for ``spec``.  Module-level,
+    so it runs in a pool worker like any sweep cell."""
     from ..replay.engine import record_run
 
+    return record_run(spec).text
+
+
+def _execute_trace(canon: dict, jobs: int | None) -> str:
+    from ..experiments.chaos import RunSpec
+    from ..experiments.parallel import run_parallel
+
     fields = {k: v for k, v in canon.items() if k not in ("kind", "backend")}
-    return record_run(RunSpec.from_dict(fields)).text
+    return run_parallel(run_trace_cell, [RunSpec.from_dict(fields)],
+                        jobs=jobs, force=_force(jobs))[0]
 
 
 _EXECUTORS = {
@@ -119,7 +158,9 @@ def execute_request(canon: dict, *, jobs: int | None = None) -> Any:
 
     ``jobs`` is the service's pool width — a deployment knob, *not* part
     of the content address: by the serial==pool identity contract the
-    payload is byte-identical at any worker count.
+    payload is byte-identical at any worker count.  With ``jobs > 1`` the
+    request runs in the persistent pool's workers; ``None`` or ``1`` runs
+    it in the calling process.
     """
     try:
         executor = _EXECUTORS[canon["kind"]]

@@ -2,19 +2,22 @@
 
 Request lifecycle::
 
-    submit(request)
+    submit(request)                      (event loop)
       -> canonicalize + address          (RequestError on bad requests)
+      -> capacity-limited admission      (ServeError when over capacity)
       -> persistent store lookup         (hit: integrity-checked bytes)
       -> in-flight table lookup          (coalesce onto the running job)
-      -> capacity-limited admission      (ServeError when over capacity)
-      -> execute on the engine           (in a thread; pool fan-out inside)
-      -> store + resolve all waiters
+      -> execute on the engine           (a thread waits; with jobs > 1
+                                          every cell runs in a pool worker)
+      -> store + resolve all waiters     (event loop, on every exit path)
 
 **Single-flight**: identical requests that arrive while one is executing
 await the same future — one execution, N responses, ``coalesced`` counted
 per joined waiter.  In-flight futures resolve to ``("ok", stored)`` /
 ``("err", message)`` tuples rather than raw exceptions so an abandoned
-waiter can never trip asyncio's unretrieved-exception warning.
+waiter can never trip asyncio's unretrieved-exception warning.  The
+leader resolves its future however it exits, cancellation included, so a
+joined waiter always gets an answer or a :class:`ServeError`.
 
 **Teardown ordering** (the regression this module pins): a closing
 service *drains every in-flight job before* ``shutdown_pool()`` unlinks
@@ -24,12 +27,17 @@ racing shutdown either completes normally (admitted before the close) or
 is refused with a clean :class:`ServeError` (arrived after) — never a
 crash.
 
-Cold executions are serialized through one executor slot: the persistent
-process pool is a process-global singleton whose creation and disposal
-take no lock, so concurrent ``run_parallel`` calls from multiple threads
-would race them.  Parallelism comes from *inside* a request (pool fan-out
-over its cells) and from hits/coalesces being served concurrently, which
-is exactly the duplicate-heavy workload the service exists for.
+Cold executions for different addresses run at the same time, each in
+its own thread.  With a pool (``jobs > 1``) such a thread only dispatches
+cells to the persistent pool and waits, so the server's interpreter lock
+stays free for the event loop and a hit waits behind no simulation.  In
+the latency + capacity terms of the admission rule, hits are
+latency-bound requests and cold work is bulk traffic with a channel of
+its own, the pool.  Pool creation and disposal take a lock, and a caller
+whose map broke disposes the pool only while it is still the live one,
+so concurrent requests share one pool and never tear down each other's.
+Without a pool the cells run in the calling thread, which holds the
+interpreter lock while it simulates.
 """
 
 from __future__ import annotations
@@ -60,8 +68,9 @@ class ServeService:
         Root of the persistent :class:`ResultStore`; ``None`` keeps
         results in memory only.
     jobs:
-        Worker count handed to the engine for cold requests (``None`` =
-        serial in-process; the engine's own plan may fall back anyway).
+        Width of the persistent worker pool that runs every cold
+        request's cells (``jobs > 1``); ``None`` or ``1`` runs them in
+        this process instead.
     max_entries / max_bytes:
         Store capacity bounds (FIFO eviction).
     max_pending:
@@ -89,7 +98,6 @@ class ServeService:
         self.jobs = jobs
         self.max_pending = max_pending
         self._inflight: dict[str, asyncio.Future] = {}
-        self._exec_lock: asyncio.Lock = asyncio.Lock()
         self._closing = False
         self._closed = False
 
@@ -141,24 +149,26 @@ class ServeService:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._inflight[address] = future
+        # What joined waiters get if this leader exits by cancellation.
+        outcome: tuple = ("err", "the executing request was cancelled")
         try:
-            async with self._exec_lock:
-                payload = await asyncio.to_thread(
-                    execute_request, canon, jobs=self.jobs
-                )
+            payload = await asyncio.to_thread(
+                execute_request, canon, jobs=self.jobs
+            )
             stored = self.store.put(address, canon, payload)
             self.stats.misses += 1
             self.stats.evictions = self.store.evictions
-            future.set_result(("ok", stored))
+            outcome = ("ok", stored)
             return self._respond(stored, "executed", t0)
         except Exception as exc:
             self.stats.errors += 1
-            future.set_result(("err", f"{type(exc).__name__}: {exc}"))
+            outcome = ("err", f"{type(exc).__name__}: {exc}")
             raise ServeError(
                 f"execution failed for {canon['kind']} request: {exc}"
             ) from exc
         finally:
             del self._inflight[address]
+            future.set_result(outcome)
 
     def _respond(self, stored: StoredResult, source: str, t0: float) -> dict:
         elapsed = time.perf_counter() - t0  # repro: allow RS003 -- service-time metric

@@ -9,6 +9,9 @@ replaced without unlinking the snapshots a sweep is reading.
 """
 
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -79,6 +82,10 @@ def _die_in_worker(cell):
     if isinstance(cell, RunSpec):
         return run_chaos_cell(cell)
     return run_snapshot_cell(cell)
+
+
+def _square(x):
+    return x * x
 
 
 def _per_worker(fn, jobs=2):
@@ -178,3 +185,72 @@ def test_a_broken_pool_reruns_serially_and_keeps_the_snapshots():
                          cell_size=20) == [run_snapshot_cell(c)
                                            for c in snapshot_sweep]
     assert parallel._pool is not None
+
+
+def _in_threads(target, n):
+    """Run ``target(i)`` for ``i < n`` in ``n`` threads, switching often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(i,))
+                   for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_concurrent_callers_create_one_pool(monkeypatch):
+    created = []
+
+    class CountedPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            time.sleep(0.05)  # a slow start: the other callers arrive
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountedPool)
+    cells = list(range(16))
+    start = threading.Barrier(8, timeout=30)
+    rows = [None] * 8
+
+    def call(i):
+        start.wait()
+        rows[i] = run_parallel(_square, cells, jobs=2, force="pool")
+
+    _in_threads(call, 8)
+    assert len(created) == 1 and parallel._pool is created[0]
+    assert rows == [[_square(c) for c in cells]] * 8
+
+
+def test_a_late_broken_map_leaves_the_next_pool_alone(monkeypatch):
+    # Two maps break on one pool.  The first handler disposes it and a
+    # third caller starts the next pool before the second handler runs:
+    # that handler must not dispose the new pool under its caller.
+    cells = chaos_cells(n=8, extra_edges=6, graph_seed=3, drop_rates=(0.0,))
+    real_dispose = parallel._dispose_pool
+    both_broke = threading.Barrier(2, timeout=60)
+    turn = threading.Lock()
+    third = []
+
+    def dispose_in_turn(*args):
+        both_broke.wait()
+        with turn:
+            real_dispose(*args)
+            if not third:
+                third.append(parallel._get_pool(2))
+
+    monkeypatch.setattr(parallel, "_dispose_pool", dispose_in_turn)
+    rows = [None, None]
+
+    def call(i):
+        rows[i] = run_parallel(_die_in_worker, cells, jobs=2, force="pool")
+
+    _in_threads(call, 2)
+    assert rows == [[run_chaos_cell(c) for c in cells]] * 2
+    assert parallel._pool is third[0]
+    assert run_parallel(_square, range(4), jobs=2, force="pool") == [0, 1, 4, 9]
+    assert parallel._pool is third[0]

@@ -16,6 +16,7 @@ The acceptance bar this file pins:
 import asyncio
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import parallel
 from repro.obs import load_jsonl
 from repro.replay import verify_trace
 from repro.serve import (
@@ -31,6 +33,7 @@ from repro.serve import (
     ServeService,
     payload_bytes,
 )
+from repro.sim.network import Network
 from tests.test_serve_store import plant_v1_object
 
 REQUESTS = {
@@ -43,6 +46,30 @@ REQUESTS = {
     "trace": {"kind": "trace", "protocol": "dfs", "n": 8, "extra_edges": 6,
               "graph_seed": 3, "limit": 50, "backend": "python"},
 }
+
+
+#: The test process; a cell that sees another pid runs in a pool worker.
+_PARENT = os.getpid()
+_network_run = Network.run
+_run_chaos_cell = parallel.run_chaos_cell
+#: Simulations this process ran (pool workers count their own).
+_simulations = [0]
+#: Set before a pool forks: where a slow cell announces that it started.
+_STARTED_DIR = None
+#: Graph seeds whose chaos cells outlast the test's worker kill.
+_SLOW_SEEDS = (3, 4)
+
+
+def _counted_run(self, *args, **kwargs):
+    _simulations[0] += 1
+    return _network_run(self, *args, **kwargs)
+
+
+def _slow_in_worker(spec):
+    if os.getpid() != _PARENT and spec.graph_seed in _SLOW_SEEDS:
+        Path(_STARTED_DIR, str(os.getpid())).touch()
+        time.sleep(20)
+    return _run_chaos_cell(spec)
 
 
 @pytest.fixture
@@ -123,6 +150,22 @@ def test_cached_trace_payload_still_verifies(client):
     report = verify_trace(load_jsonl(cached["payload"]))
     assert report.ok, report.describe()
     assert cached["payload"] == cold["payload"]
+
+
+@pytest.mark.parametrize("kind", sorted(REQUESTS))
+def test_pooled_service_answers_alike_and_simulates_nothing(monkeypatch, kind):
+    # With jobs > 1 every cold request runs in the pool's workers, one-cell
+    # requests and a sweep's fault-free references included.
+    monkeypatch.setattr(Network, "run", _counted_run)
+    before = _simulations[0]
+    with ServeClient(jobs=2) as pooled:
+        cold = pooled.request(REQUESTS[kind])
+    assert _simulations[0] == before
+    with ServeClient() as serial:
+        expect = serial.request(REQUESTS[kind])
+    assert cold["source"] == expect["source"] == "executed"
+    for key in ("address", "payload_sha", "body"):
+        assert cold[key] == expect[key]
 
 
 # --------------------------------------------------------------------- #
@@ -209,6 +252,70 @@ def test_gamma_w_request_is_served_in_a_fresh_interpreter():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ok", "0"]
+
+
+def test_cancelled_leader_answers_its_followers(monkeypatch):
+    import repro.serve.service as service_mod
+
+    real = service_mod.execute_request
+
+    def slow(canon, jobs=None):
+        time.sleep(0.3)
+        return real(canon, jobs=jobs)
+
+    monkeypatch.setattr(service_mod, "execute_request", slow)
+
+    async def main():
+        svc = ServeService()
+        leader = asyncio.create_task(svc.submit(REQUESTS["chaos"]))
+        await asyncio.sleep(0.05)           # the leader is executing
+        follower = asyncio.create_task(svc.submit(REQUESTS["chaos"]))
+        await asyncio.sleep(0.05)
+        assert svc.stats.coalesced == 1     # and the follower joined it
+        leader.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await leader
+        with pytest.raises(ServeError, match="cancelled"):
+            await asyncio.wait_for(follower, timeout=5)
+        await asyncio.wait_for(svc.drain(), timeout=5)
+        inflight = svc.inflight
+        await svc.shutdown()
+        return inflight
+
+    assert asyncio.run(main()) == 0
+
+
+def test_killed_worker_mid_request_reruns_both_requests(tmp_path, monkeypatch):
+    # Installed before the pool forks, so its workers run the slow cell.
+    parallel.shutdown_pool()
+    monkeypatch.setattr(sys.modules[__name__], "_STARTED_DIR", str(tmp_path))
+    monkeypatch.setattr(parallel, "run_chaos_cell", _slow_in_worker)
+    requests = [dict(REQUESTS["chaos"], graph_seed=s) for s in _SLOW_SEEDS]
+
+    async def main():
+        svc = ServeService(jobs=2)
+        tasks = [asyncio.create_task(svc.submit(r)) for r in requests]
+        deadline = time.monotonic() + 60
+        while len(os.listdir(tmp_path)) < 2:  # both cells are running
+            assert time.monotonic() < deadline, "cells never started"
+            await asyncio.sleep(0.02)
+        broken = parallel._pool
+        os.kill(next(iter(broken._processes)), signal.SIGKILL)
+        answers = await asyncio.wait_for(asyncio.gather(*tasks), timeout=60)
+        inflight = svc.inflight
+        after = await svc.submit(dict(REQUESTS["chaos"], graph_seed=5))
+        fresh = parallel._pool
+        await svc.shutdown()
+        return answers, inflight, after, fresh is not None and fresh is not broken
+
+    answers, inflight, after, new_pool = asyncio.run(main())
+    assert inflight == 0 and new_pool
+    assert after["source"] == "executed"
+    with ServeClient() as serial:
+        for request, answer in zip(requests, answers):
+            expect = serial.request(request)
+            assert answer["source"] == "executed"
+            assert answer["body"] == expect["body"]
 
 
 def test_capacity_admission_rejects_cleanly(tmp_path, monkeypatch):

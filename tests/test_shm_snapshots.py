@@ -13,6 +13,7 @@ the whole dance leaves no ``rshm-*`` files and no resource-tracker or
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,34 @@ def test_publish_attach_unlink_lifecycle():
     assert not _segment_exists(handle.segment)
     assert shm.stats()["shm_segments"] == 0
     assert shm.stats()["shm_bytes"] == 0
+
+
+def test_concurrent_publishers_of_one_graph_share_one_segment():
+    # A service publishes from one thread per cold snapshot request, and
+    # two requests can name one graph.
+    flat = random_connected_flat(300, 500, seed=8)
+    start = threading.Barrier(8, timeout=30)
+    handles = []
+
+    def publish():
+        start.wait()
+        handles.append(shm.publish(flat))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=publish) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(handles) == 8 and len(set(handles)) == 1
+    stats = shm.stats()
+    assert stats["shm_creates"] == 1 and stats["shm_segments"] == 1
+    assert _segment_exists(handles[0].segment)
 
 
 def test_version_bump_invalidates_stale_segment():
