@@ -51,9 +51,10 @@ MIX = [
     for drop in (0.0, 0.2)
 ]
 #: The timed pass: new addresses (other fault seeds) on the mix's graphs,
-#: sent once the mix has paid the server's one-time work (pool start,
-#: graph builds, fault-free reference runs), so their cold pass is the
-#: requests' own execution.
+#: sent once the mix has paid the server's one-time work (the pool
+#: start).  Graph builds and fault-free reference runs happen in
+#: whichever worker runs a cell, so the cold pass may include them for a
+#: worker that has not yet run a cell on that graph.
 FRESH = [dict(r, fault_seed=s) for s in (8, 9) for r in MIX]
 #: How many times faster than their cold pass the first replay of
 #: ``FRESH`` must be.  The real hit path clears it by more than 2x; a hit

@@ -210,9 +210,10 @@ class ServeService:
 
     async def drain(self) -> None:
         """Wait for every in-flight execution to finish (never raises:
-        in-flight futures resolve to status tuples)."""
+        in-flight futures resolve to status tuples).  A cancelled drain
+        leaves them to their leaders."""
         while self._inflight:
-            await asyncio.gather(*list(self._inflight.values()))
+            await asyncio.wait(list(self._inflight.values()))
 
     async def shutdown(self) -> None:
         """Stop admitting, drain in-flight jobs, then tear down the pool.

@@ -73,6 +73,20 @@ def _slow_in_worker(spec):
 
 
 @pytest.fixture
+def slow_execution(monkeypatch):
+    """Every execution first sleeps 0.3 s, so a test can act mid-flight."""
+    import repro.serve.service as service_mod
+
+    real = service_mod.execute_request
+
+    def slow(canon, jobs=None):
+        time.sleep(0.3)
+        return real(canon, jobs=jobs)
+
+    monkeypatch.setattr(service_mod, "execute_request", slow)
+
+
+@pytest.fixture
 def client(tmp_path):
     c = ServeClient(cache_dir=str(tmp_path / "cache"))
     yield c
@@ -254,17 +268,7 @@ def test_gamma_w_request_is_served_in_a_fresh_interpreter():
     assert proc.stdout.split() == ["ok", "0"]
 
 
-def test_cancelled_leader_answers_its_followers(monkeypatch):
-    import repro.serve.service as service_mod
-
-    real = service_mod.execute_request
-
-    def slow(canon, jobs=None):
-        time.sleep(0.3)
-        return real(canon, jobs=jobs)
-
-    monkeypatch.setattr(service_mod, "execute_request", slow)
-
+def test_cancelled_leader_answers_its_followers(slow_execution):
     async def main():
         svc = ServeService()
         leader = asyncio.create_task(svc.submit(REQUESTS["chaos"]))
@@ -283,6 +287,20 @@ def test_cancelled_leader_answers_its_followers(monkeypatch):
         return inflight
 
     assert asyncio.run(main()) == 0
+
+
+def test_cancelled_shutdown_leaves_the_leader_its_answer(slow_execution):
+    async def main():
+        svc = ServeService()
+        leader = asyncio.create_task(svc.submit(REQUESTS["chaos"]))
+        await asyncio.sleep(0.05)           # the leader is executing
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(svc.shutdown(), timeout=0.05)
+        resp = await asyncio.wait_for(leader, timeout=30)
+        await svc.shutdown()
+        return resp
+
+    assert asyncio.run(main())["source"] == "executed"
 
 
 def test_killed_worker_mid_request_reruns_both_requests(tmp_path, monkeypatch):
@@ -318,17 +336,7 @@ def test_killed_worker_mid_request_reruns_both_requests(tmp_path, monkeypatch):
             assert answer["body"] == expect["body"]
 
 
-def test_capacity_admission_rejects_cleanly(tmp_path, monkeypatch):
-    import repro.serve.service as service_mod
-
-    real = service_mod.execute_request
-
-    def slow(canon, jobs=None):
-        time.sleep(0.3)
-        return real(canon, jobs=jobs)
-
-    monkeypatch.setattr(service_mod, "execute_request", slow)
-
+def test_capacity_admission_rejects_cleanly(slow_execution):
     async def main():
         svc = ServeService(max_pending=1)
         first = asyncio.create_task(svc.submit(REQUESTS["chaos"]))
@@ -348,20 +356,10 @@ def test_capacity_admission_rejects_cleanly(tmp_path, monkeypatch):
 # Teardown ordering: drain in-flight, THEN unlink the pool/shm
 # --------------------------------------------------------------------- #
 
-def test_shutdown_drains_inflight_before_pool_teardown(monkeypatch):
-    import repro.experiments.parallel as par
-    import repro.serve.service as service_mod
-
-    real_exec = service_mod.execute_request
-
-    def slow(canon, jobs=None):
-        time.sleep(0.3)
-        return real_exec(canon, jobs=jobs)
-
-    monkeypatch.setattr(service_mod, "execute_request", slow)
-
+def test_shutdown_drains_inflight_before_pool_teardown(slow_execution,
+                                                       monkeypatch):
     inflight_at_teardown = []
-    real_shutdown = par.shutdown_pool
+    real_shutdown = parallel.shutdown_pool
 
     svc = ServeService()
 
@@ -369,7 +367,7 @@ def test_shutdown_drains_inflight_before_pool_teardown(monkeypatch):
         inflight_at_teardown.append(svc.inflight)
         real_shutdown()
 
-    monkeypatch.setattr(par, "shutdown_pool", spy_shutdown)
+    monkeypatch.setattr(parallel, "shutdown_pool", spy_shutdown)
 
     async def main():
         running = asyncio.create_task(svc.submit(REQUESTS["chaos"]))
