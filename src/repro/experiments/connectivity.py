@@ -7,8 +7,8 @@ insensitive to where the doubling starts).
 from __future__ import annotations
 
 from ..graphs import lower_bound_graph, network_params, random_connected_graph
-from ..protocols import run_con_hybrid, run_dfs, run_flood, run_mst_centr
-from ..protocols.hybrid import race
+from ..protocols import run_con_hybrid, run_dfs, run_flood
+from ..protocols.hybrid import con_candidates, race
 from .base import Table, experiment
 
 __all__ = ["run", "connectivity_suite"]
@@ -43,18 +43,9 @@ def _suite_table(label, p, costs):
 
 def _budget_ablation():
     g = random_connected_graph(25, 40, seed=14, max_weight=4)
-
-    def dfs_attempt(budget):
-        r, t = run_dfs(g, 0, budget=budget)
-        return r.comm_cost, r.time, t
-
-    def centr_attempt(budget):
-        r, t = run_mst_centr(g, 0, budget=budget)
-        return r.comm_cost, r.time, t
-
     rows = []
     for b0 in (1.0, 8.0, 64.0, 512.0):
-        outcome = race({"DFS": dfs_attempt, "MST_centr": centr_attempt}, b0)
+        outcome = race(con_candidates(g, 0), b0)
         rows.append([b0, outcome.rounds, outcome.winner,
                      outcome.total_comm_cost])
     return Table(

@@ -62,6 +62,7 @@ __all__ = [
     "SnapshotUnavailable",
     "shm_available",
     "publish",
+    "published_spec",
     "attach",
     "build_spec",
     "unlink_all",
@@ -214,6 +215,16 @@ def publish(flat: FlatGraph, key: str | None = None) -> SnapshotHandle:
     """
     with _publish_lock:
         return _publish(flat, key)
+
+
+def published_spec(spec: tuple[Any, ...]) -> SnapshotHandle | None:
+    """The handle of a graph this process published from generator
+    ``spec`` (its :func:`build_spec` form), or ``None`` if there is none."""
+    with _publish_lock:
+        for handle, _seg, _flat in _published.values():
+            if handle.spec == spec:
+                return handle
+    return None
 
 
 def _publish(flat: FlatGraph, key: str | None) -> SnapshotHandle:

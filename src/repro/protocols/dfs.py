@@ -187,16 +187,35 @@ def run_dfs(
 ) -> tuple[RunResult, WeightedGraph | None]:
     """Run token DFS from ``root``; returns (run result, DFS spanning tree).
 
-    With a ``budget``, the run is aborted once the communication cost
-    reaches it and the tree is returned as ``None`` (the hybrid racers of
-    Section 7.2 use this to dovetail algorithms with doubling budgets).
+    With a ``budget``, the run stops at the first send that would take the
+    communication cost past it and the tree is returned as ``None`` (the
+    hybrid racers of Section 7.2 resume such a run under doubling budgets).
     The same ``None``-tree contract covers a run stalled by a ``faults``
     adversary; ``reliable=True`` adds the retransmitting transport.
     """
+    net = _dfs_network(graph, root, governor=governor, delay=delay,
+                       seed=seed, budget=budget, faults=faults,
+                       reliable=reliable, transport=transport)
+    return _dfs_outcome(net, root)
+
+
+def _dfs_network(
+    graph: WeightedGraph,
+    root: Vertex,
+    *,
+    governor: Governor | None = None,
+    delay: DelayModel | None = None,
+    seed: int = 0,
+    budget: float | None = None,
+    faults: FaultPlan | None = None,
+    reliable: bool = False,
+    transport: dict | None = None,
+) -> Network:
+    """:func:`run_dfs`'s network, not yet run."""
     factory = lambda v: DfsProcess(v == root, governor)
     if reliable:
         factory = reliable_factory(factory, **(transport or {}))
-    net = Network(
+    return Network(
         graph,
         factory,
         delay=delay,
@@ -204,9 +223,16 @@ def run_dfs(
         comm_budget=budget,
         faults=faults,
     )
+
+
+def _dfs_outcome(
+    net: Network, root: Vertex
+) -> tuple[RunResult, WeightedGraph | None]:
+    """Run (or resume) a DFS network; returns (run result, tree or None)."""
     result = net.run()
     if not result.processes[root].ctx.is_finished:
         return result, None
+    graph = net.graph
     tree = WeightedGraph(vertices=graph.vertices)
     for v, proc in result.processes.items():
         if proc.parent is not None:

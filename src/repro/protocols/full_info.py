@@ -234,7 +234,7 @@ class FullInfoGrowthProcess(Process):
             raise AssertionError(f"unknown message {kind!r}")
 
 
-def _run_growth(
+def _growth_network(
     graph: WeightedGraph,
     root: Vertex,
     order: list[tuple[Vertex, Vertex]],
@@ -244,20 +244,25 @@ def _run_growth(
     delay: DelayModel | None = None,
     seed: int = 0,
     budget: float | None = None,
-) -> tuple[RunResult, WeightedGraph | None]:
+) -> Network:
+    """A growth run's network along ``order``, not yet run."""
     plan = GrowthPlan(graph, root, order)
     gov = governor if governor is not None else Governor()
-    net = Network(
+    return Network(
         graph,
         lambda v: FullInfoGrowthProcess(plan, gov, algo_name, algo_name),
         delay=delay,
         seed=seed,
         comm_budget=budget,
     )
+
+
+def _growth_outcome(net: Network) -> tuple[RunResult, WeightedGraph | None]:
+    """Run (or resume) a growth network; returns (run result, tree or None)."""
     result = net.run()
     if not net.all_finished:
         return result, None
-    return result, plan.tree()
+    return result, next(iter(net.processes.values())).plan.tree()
 
 
 def run_mst_centr(
@@ -270,9 +275,9 @@ def run_mst_centr(
     budget: float | None = None,
 ) -> tuple[RunResult, WeightedGraph | None]:
     """Run MST_centr; returns (run result, the MST or None on budget)."""
-    return _run_growth(graph, root, prim_order(graph, root), "MST_centr",
-                       governor=governor, delay=delay, seed=seed,
-                       budget=budget)
+    return _growth_outcome(_growth_network(
+        graph, root, prim_order(graph, root), "MST_centr",
+        governor=governor, delay=delay, seed=seed, budget=budget))
 
 
 def run_spt_centr(
@@ -285,6 +290,6 @@ def run_spt_centr(
     budget: float | None = None,
 ) -> tuple[RunResult, WeightedGraph | None]:
     """Run SPT_centr; returns (run result, the SPT or None on budget)."""
-    return _run_growth(graph, root, dijkstra_order(graph, root), "SPT_centr",
-                       governor=governor, delay=delay, seed=seed,
-                       budget=budget)
+    return _growth_outcome(_growth_network(
+        graph, root, dijkstra_order(graph, root), "SPT_centr",
+        governor=governor, delay=delay, seed=seed, budget=budget))

@@ -10,10 +10,16 @@ the candidates in alternation, each attempt capped at a communication
 budget that doubles every round, until one completes within its budget.
 This is exactly the suspend/resume schedule the root estimates induce —
 an algorithm is "suspended" while the other one consumes its (currently
-smaller) budget — expressed with restarts instead of in-place freezing.
-Since attempt costs form geometric series, the total communication is at
-most a constant times ``min(c_A, c_B)`` (with both algorithms' budgets
-summing to ``< 4 * budget_final <= 8 * min``), preserving the paper's
+smaller) budget.  Each candidate is one :class:`~repro.sim.network.Network`
+per race: an attempt that runs out of budget stops with the refused send
+held, and the candidate's next attempt resumes that network under its
+doubled budget instead of re-simulating from time zero.  The accounting
+is still the restart schedule's: an attempt is charged what a fresh run
+at its budget spends (the resumed network ends with exactly that run's
+metrics), and attempts' times add up back to back.  Since attempt costs
+form geometric series, the total communication is at most a constant
+times ``min(c_A, c_B)`` (with both algorithms' budgets summing to
+``< 4 * budget_final <= 8 * min``), preserving the paper's
 ``O(min{...})`` bounds:
 
 * ``CON_hybrid``  =  race(DFS, MST_centr)            -> O(min{E, n V})
@@ -35,14 +41,15 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
-from .dfs import run_dfs
-from .full_info import _run_growth, prim_order
-from .mst_ghs import run_mst_ghs
-from .spt_recur import run_spt_recur
-from .spt_synch import run_spt_synch
+from ..sim.network import Network
+from .dfs import _dfs_network, _dfs_outcome
+from .full_info import _growth_network, _growth_outcome, prim_order
+from .mst_ghs import _ghs_network, _ghs_outcome
+from .spt_recur import _spt_recur_network, _spt_recur_outcome
+from .spt_synch import _spt_synch_network, _spt_synch_outcome
 
-__all__ = ["RaceOutcome", "race", "run_con_hybrid", "run_mst_hybrid",
-           "run_spt_hybrid"]
+__all__ = ["RaceOutcome", "con_candidates", "race", "run_con_hybrid",
+           "run_mst_hybrid", "run_spt_hybrid"]
 
 # An attempt takes a budget and returns (comm_cost_spent, time_spent,
 # output_or_None).  Output None means the budget was exhausted.
@@ -114,26 +121,63 @@ def _initial_budget(graph: WeightedGraph) -> float:
     return float(max(8, graph.num_vertices))
 
 
-def _centr_attempt(graph: WeightedGraph, root: Vertex,
-                   delay: DelayModel | None, seed: int) -> Attempt:
-    """One race's MST_centr attempts (what ``run_mst_centr`` runs).
+def _resumable(build: Callable[[float], Network],
+               outcome: Callable[[Network], tuple[Any, Any]]) -> Attempt:
+    """One candidate's attempts over a single network.
 
-    The Prim order depends only on (graph, root), so the race's first
-    MST_centr attempt computes it and its later attempts reuse it.  It is
-    not computed before that attempt: a race won before MST_centr ever
-    runs must not fail on a graph Prim rejects (a disconnected one).
+    ``build(budget)`` makes the candidate's network on its first attempt;
+    every later attempt raises the network's ``comm_budget`` and resumes
+    it.  ``outcome(net)`` runs the network and reads ``(result, output)``,
+    as the candidate's public runner does.
     """
-    order: list[tuple[Vertex, Vertex]] | None = None
+    net: Network | None = None
 
     def attempt(budget: float):
-        nonlocal order
-        if order is None:
-            order = prim_order(graph, root)
-        result, tree = _run_growth(graph, root, order, "MST_centr",
-                                   delay=delay, seed=seed, budget=budget)
-        return result.comm_cost, result.time, tree
+        nonlocal net
+        if net is None:
+            net = build(budget)
+        else:
+            net.comm_budget = budget
+        result, output = outcome(net)
+        return result.comm_cost, result.time, output
 
     return attempt
+
+
+def _centr_attempt(graph: WeightedGraph, root: Vertex,
+                   delay: DelayModel | None, seed: int) -> Attempt:
+    """MST_centr's attempts (what ``run_mst_centr`` runs).
+
+    The Prim order is computed when the first attempt builds the network,
+    not before: a race won before MST_centr ever runs must not fail on a
+    graph Prim rejects (a disconnected one).
+    """
+    return _resumable(
+        lambda budget: _growth_network(
+            graph, root, prim_order(graph, root), "MST_centr",
+            delay=delay, seed=seed, budget=budget),
+        _growth_outcome,
+    )
+
+
+def con_candidates(
+    graph: WeightedGraph,
+    root: Vertex,
+    *,
+    delay: DelayModel | None = None,
+    seed: int = 0,
+) -> dict[str, Attempt]:
+    """CON_hybrid's candidates, DFS and MST_centr, as :func:`race` attempts.
+
+    Each attempt resumes its candidate's network, so a dict serves one race.
+    """
+    return {
+        "DFS": _resumable(
+            lambda budget: _dfs_network(graph, root, delay=delay, seed=seed,
+                                        budget=budget),
+            lambda net: _dfs_outcome(net, root)),
+        "MST_centr": _centr_attempt(graph, root, delay, seed),
+    }
 
 
 def run_con_hybrid(
@@ -149,17 +193,8 @@ def run_con_hybrid(
     ``O(min{script-E, n * script-V})``, matching the lower bound of
     Section 7.1.
     """
-
-    def dfs_attempt(budget: float):
-        result, tree = run_dfs(graph, root, delay=delay, seed=seed,
-                               budget=budget)
-        return result.comm_cost, result.time, tree
-
-    return race(
-        {"DFS": dfs_attempt,
-         "MST_centr": _centr_attempt(graph, root, delay, seed)},
-        _initial_budget(graph),
-    )
+    return race(con_candidates(graph, root, delay=delay, seed=seed),
+                _initial_budget(graph))
 
 
 def run_mst_hybrid(
@@ -173,14 +208,11 @@ def run_mst_hybrid(
 
     Communication ``O(min{script-E + script-V log n, n * script-V})``.
     """
-
-    def ghs_attempt(budget: float):
-        result, tree = run_mst_ghs(graph, delay=delay, seed=seed,
-                                   budget=budget)
-        return result.comm_cost, result.time, tree
-
+    ghs = _resumable(
+        lambda budget: _ghs_network(graph, False, delay, seed, budget),
+        _ghs_outcome)
     return race(
-        {"MST_ghs": ghs_attempt,
+        {"MST_ghs": ghs,
          "MST_centr": _centr_attempt(graph, root, delay, seed)},
         _initial_budget(graph),
     )
@@ -195,18 +227,13 @@ def run_spt_hybrid(
     seed: int = 0,
 ) -> RaceOutcome:
     """SPT_hybrid (Section 9.3): SPT_synch raced against SPT_recur."""
-
-    def synch_attempt(budget: float):
-        result, tree = run_spt_synch(graph, source, k=k, delay=delay,
-                                     seed=seed, budget=budget)
-        return result.comm_cost, result.time, tree
-
-    def recur_attempt(budget: float):
-        result, tree = run_spt_recur(graph, source, delay=delay, seed=seed,
-                                     budget=budget)
-        return result.comm_cost, result.time, tree
-
-    return race(
-        {"SPT_synch": synch_attempt, "SPT_recur": recur_attempt},
-        _initial_budget(graph),
-    )
+    synch = _resumable(
+        lambda budget: _spt_synch_network(graph, source, k=k, delay=delay,
+                                          seed=seed, budget=budget),
+        lambda net: _spt_synch_outcome(net, graph))
+    recur = _resumable(
+        lambda budget: _spt_recur_network(graph, source, delay=delay,
+                                          seed=seed, budget=budget),
+        lambda net: _spt_recur_outcome(net, graph, source))
+    return race({"SPT_synch": synch, "SPT_recur": recur},
+                _initial_budget(graph))

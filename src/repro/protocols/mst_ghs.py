@@ -454,20 +454,21 @@ def _collect_tree(graph: WeightedGraph, result: RunResult) -> WeightedGraph:
     return tree
 
 
-def _run(graph: WeightedGraph, parallel_scan: bool, delay, seed: int,
-         max_events: int,
-         budget: float | None = None,
-         faults: FaultPlan | None = None,
-         reliable: bool = False,
-         transport: dict | None = None,
-         ) -> tuple[RunResult, WeightedGraph | None]:
+def _ghs_network(graph: WeightedGraph, parallel_scan: bool, delay,
+                 seed: int,
+                 budget: float | None = None,
+                 faults: FaultPlan | None = None,
+                 reliable: bool = False,
+                 transport: dict | None = None,
+                 ) -> Network:
+    """A GHS run's network, not yet run."""
     if graph.num_vertices < 2:
         raise ValueError("GHS needs at least two vertices")
     n = graph.num_vertices
     factory = lambda v: GhsProcess(parallel_scan, n_total=n)
     if reliable:
         factory = reliable_factory(factory, **(transport or {}))
-    net = Network(
+    return Network(
         graph,
         factory,
         delay=delay,
@@ -475,14 +476,19 @@ def _run(graph: WeightedGraph, parallel_scan: bool, delay, seed: int,
         comm_budget=budget,
         faults=faults,
     )
+
+
+def _ghs_outcome(net: Network, max_events: int = 20_000_000,
+                 ) -> tuple[RunResult, WeightedGraph | None]:
+    """Run (or resume) a GHS network; returns (run result, MST or None)."""
     result = net.run(stop_when=all_finished, max_events=max_events)
     if not net.all_finished:
-        if budget is not None or faults is not None:
+        if net.comm_budget is not None or net.faults is not None:
             # Detectable abort: budget enforcement, or a fault adversary
             # the protocol could not survive (RunResult.status says which).
             return result, None
         raise RuntimeError("GHS did not terminate")
-    return result, _collect_tree(graph, result)
+    return result, _collect_tree(net.graph, result)
 
 
 def run_mst_ghs(
@@ -497,8 +503,9 @@ def run_mst_ghs(
     transport: dict | None = None,
 ) -> tuple[RunResult, WeightedGraph | None]:
     """Algorithm MST_ghs: classical GHS (serial edge scan)."""
-    return _run(graph, False, delay, seed, max_events, budget,
-                faults, reliable, transport)
+    return _ghs_outcome(_ghs_network(graph, False, delay, seed, budget,
+                                     faults, reliable, transport),
+                        max_events)
 
 
 def run_mst_fast(
@@ -513,5 +520,6 @@ def run_mst_fast(
     transport: dict | None = None,
 ) -> tuple[RunResult, WeightedGraph | None]:
     """Algorithm MST_fast: guess-doubling threshold + parallel edge scan."""
-    return _run(graph, True, delay, seed, max_events, budget,
-                faults, reliable, transport)
+    return _ghs_outcome(_ghs_network(graph, True, delay, seed, budget,
+                                     faults, reliable, transport),
+                        max_events)

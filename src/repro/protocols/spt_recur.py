@@ -252,27 +252,51 @@ def run_spt_recur(
     graph).  ``stride`` defaults to ``ceil(sqrt(script-D))`` — balancing
     the per-strip synchronization against intra-strip corrections.
     """
-    expanded, dummy_info = unit_expansion(graph)
+    net = _spt_recur_network(graph, source, stride=stride, delay=delay,
+                             seed=seed, budget=budget)
+    return _spt_recur_outcome(net, graph, source, max_events)
+
+
+def _spt_recur_network(
+    graph: WeightedGraph,
+    source: Vertex,
+    *,
+    stride: int | None = None,
+    delay: DelayModel | None = None,
+    seed: int = 0,
+    budget: float | None = None,
+) -> Network:
+    """:func:`run_spt_recur`'s network on the unit expansion, not yet run."""
+    expanded, _ = unit_expansion(graph)
     if stride is None:
         stride = max(1, math.ceil(math.sqrt(diameter(graph))))
     n_total = expanded.num_vertices
-    net = Network(
+    return Network(
         expanded,
         lambda v: StripBfsProcess(v == source, stride, n_total),
         delay=delay,
         seed=seed,
         comm_budget=budget,
     )
+
+
+def _spt_recur_outcome(
+    net: Network, graph: WeightedGraph, source: Vertex,
+    max_events: int = 20_000_000,
+) -> tuple[RunResult, WeightedGraph | None]:
+    """Run (or resume) an SPT_recur network; returns (run result on the
+    expansion, the SPT of ``graph`` or None on budget)."""
     result = net.run(stop_when=all_finished, max_events=max_events)
     if not net.all_finished:
-        if budget is not None:
+        if net.comm_budget is not None:
             return result, None
         raise RuntimeError("SPT_recur did not terminate")
 
     # Project the BFS tree of the expansion back onto the real vertices:
-    # walk each real vertex's parent chain through dummies to the first
-    # real ancestor.
+    # walk each real vertex's parent chain through dummies (the vertices
+    # the expansion added) to the first real ancestor.
     tree = WeightedGraph(vertices=graph.vertices)
+    real = set(graph.vertices)
     parent_of = {v: p.parent for v, p in result.processes.items()}
     dist_of = {v: p.dist for v, p in result.processes.items()}
     for v in graph.vertices:
@@ -281,7 +305,7 @@ def run_spt_recur(
         if v == source:
             continue
         anc = parent_of[v]
-        while anc in dummy_info:
+        while anc is not None and anc not in real:
             anc = parent_of[anc]
         if anc is None:
             raise RuntimeError(f"vertex {v!r} has no real ancestor")

@@ -20,9 +20,10 @@ from typing import Any
 from ..graphs.paths import diameter
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
+from ..sim.network import Network
 from ..sim.sync_runner import SynchronousProtocol, SynchronousRunner
-from ..synch.gamma_w import pulse_bounds, run_gamma_w
-from ..synch.host_base import SyncResult
+from ..synch.gamma_w import gamma_w_network, pulse_bounds
+from ..synch.host_base import SyncResult, sync_outcome
 
 __all__ = ["SyncBellmanFord", "run_spt_synch", "run_spt_synchronous_reference"]
 
@@ -98,8 +99,24 @@ def run_spt_synch(
     hosted protocol observes *original* weights, so the tree equals the
     reference synchronous run's tree exactly.
     """
+    net = _spt_synch_network(graph, source, k=k, stop_pulse=stop_pulse,
+                             delay=delay, seed=seed, budget=budget)
+    return _spt_synch_outcome(net, graph)
+
+
+def _spt_synch_network(
+    graph: WeightedGraph,
+    source: Vertex,
+    *,
+    k: int = 2,
+    stop_pulse: int | None = None,
+    delay: DelayModel | None = None,
+    seed: int = 0,
+    budget: float | None = None,
+) -> Network:
+    """:func:`run_spt_synch`'s gamma_w network, not yet run."""
     stop_pulse, max_pulse = pulse_bounds(graph, stop_pulse)
-    result = run_gamma_w(
+    return gamma_w_network(
         graph,
         lambda v: SyncBellmanFord(v == source, stop_pulse),
         k=k,
@@ -108,6 +125,14 @@ def run_spt_synch(
         seed=seed,
         budget=budget,
     )
+
+
+def _spt_synch_outcome(
+    net: Network, graph: WeightedGraph
+) -> tuple[SyncResult, WeightedGraph | None]:
+    """Run (or resume) an SPT_synch network; returns (its SyncResult, the
+    SPT or None on budget)."""
+    result = sync_outcome(net, "sync-gamma")
     if not result.completed:
         return result, None
     return result, _tree_from_results(graph, result.results())

@@ -25,6 +25,7 @@ rather than per cell.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Any
 
 from .address import RequestError
@@ -38,6 +39,11 @@ __all__ = ["execute_request", "run_trace_cell", "BATCH_THRESHOLD", "BATCH_SIZE"]
 # dispatch balances better and pickling is already cheap.
 BATCH_THRESHOLD = 64
 BATCH_SIZE = 16
+
+
+# Held while a snapshot request looks up or builds its graph: concurrent
+# cold requests over one spec then build it once.
+_snapshot_lock = threading.Lock()
 
 
 def _auto_batch(n_cells: int) -> int | None:
@@ -99,32 +105,31 @@ def _execute_chaos(canon: dict, jobs: int | None) -> dict:
 
 
 def _execute_snapshot(canon: dict, jobs: int | None) -> list[dict]:
-    """Publish (idempotently) the spec'd graph and sweep its snapshot.
+    """Publish the spec'd graph once and sweep its snapshot.
 
-    :func:`repro.graphs.shm.publish` keys on the content fingerprint, so
-    repeated snapshot requests over the same spec — even under different
-    sweep knobs — reuse one shared segment across the whole serve
-    session; the graph is built at most once per service process.
+    A request over a spec this process has already published reuses that
+    snapshot, so repeated snapshot requests over the same spec — even
+    under different sweep knobs — share one segment and one build across
+    the whole serve session.  The lookup and the build hold
+    ``_snapshot_lock``, so concurrent cold requests cannot both build.
     """
     from ..graphs import shm
-    from ..experiments.parallel import snapshot_cells, snapshot_rows
-
-    flat = shm.build_spec(tuple(canon["spec"]))
-    handle = shm.publish(flat)
-    n_cells = len(snapshot_cells(handle, kind=canon["sweep"],
-                                 limit=canon["limit"],
-                                 cell_size=canon["cell_size"],
-                                 kernel=canon["backend"]))
-    return snapshot_rows(
-        handle,
-        jobs=jobs,
-        kind=canon["sweep"],
-        limit=canon["limit"],
-        cell_size=canon["cell_size"],
-        kernel=canon["backend"],
-        force=_force(jobs),
-        batch=_auto_batch(n_cells),
+    from ..experiments.parallel import (
+        run_parallel,
+        run_snapshot_cell,
+        snapshot_cells,
     )
+
+    spec = tuple(canon["spec"])
+    with _snapshot_lock:
+        handle = shm.published_spec(spec)
+        if handle is None:
+            handle = shm.publish(shm.build_spec(spec))
+    cells = snapshot_cells(handle, kind=canon["sweep"], limit=canon["limit"],
+                           cell_size=canon["cell_size"],
+                           kernel=canon["backend"])
+    return run_parallel(run_snapshot_cell, cells, jobs=jobs,
+                        force=_force(jobs), batch=_auto_batch(len(cells)))
 
 
 def run_trace_cell(spec: RunSpec) -> str:

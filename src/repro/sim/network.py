@@ -126,11 +126,16 @@ class RunResult:
     * ``"stopped"`` — the caller's ``stop_when`` predicate fired;
     * ``"max_time"`` — the watchdog deadline was reached with events still
       pending (no event beyond the deadline is executed);
-    * ``"budget_exhausted"`` — a send was suppressed by the communication
-      budget and the run aborted.
+    * ``"budget_exhausted"`` — a send would have taken the communication
+      cost past the budget: the run held it (and every later send of the
+      same event) and stopped.
 
     ``aborted`` is True for the last two — the run did *not* end of its
     own accord, and per-node results may be partial.
+
+    ``metrics`` and ``processes`` are the network's own, not copies: a
+    later :meth:`Network.run` of the same network (a budget-stopped run
+    resumed under a larger budget) updates what an earlier result shows.
     """
 
     def __init__(self, metrics: Metrics, processes: dict,
@@ -240,12 +245,19 @@ class Network:
         self.rng = random.Random(seed)
         self.serialize = serialize
         self.default_tag = default_tag
-        # Hard communication budget: a send that would exceed it is
-        # suppressed and the run aborts (models the root-aware suspension
-        # the paper's hybrid/controlled algorithms perform *before*
-        # overspending; see Sections 5, 7.2, 8.2).
+        # Hard communication budget: a send that would exceed it is held
+        # and the run stops (models the root-aware suspension the paper's
+        # hybrid/controlled algorithms perform *before* overspending; see
+        # Sections 5, 7.2, 8.2).  run() again, under a larger budget,
+        # resumes from the held send.
         self.comm_budget = comm_budget
         self.budget_exhausted = False
+        # Set on the first refused send: every later send or timer of the
+        # same event is held here too, as (method, args) in call order,
+        # with the send counters as they were before the first of them.
+        self._held: list[tuple[Callable, tuple]] | None = None
+        self._held_counters: tuple = ()
+        self._started = False
         # Optional observer: called as trace(time, frm, to, tag, cost) for
         # every accepted transmission (debugging / timeline visualisation).
         # Composes with a recorder — both fire for every accepted send.
@@ -322,9 +334,9 @@ class Network:
             metrics = self.metrics
             cost = weight * size
             budget = self.comm_budget
-            if budget is not None and metrics.comm_cost + cost > budget:
-                self.budget_exhausted = True
-                self.queue.halted = True
+            if budget is not None and (self._held is not None
+                                       or metrics.comm_cost + cost > budget):
+                self._hold(frm, to, payload, size, tag, weight)
                 return
             tag = tag or self.default_tag
             metrics.message_count += 1
@@ -360,11 +372,9 @@ class Network:
         metrics = self.metrics
         cost = weight * size
         budget = self.comm_budget
-        if budget is not None and metrics.comm_cost + cost > budget:
-            self.budget_exhausted = True
-            # Also halt the event queue's fast drain loop (run() probes
-            # this flag after every event when a budget is configured).
-            self.queue.halted = True
+        if budget is not None and (self._held is not None
+                                   or metrics.comm_cost + cost > budget):
+            self._hold(frm, to, payload, size, tag, weight)
             return
         tag = tag or self.default_tag
         metrics.message_count += 1
@@ -431,6 +441,51 @@ class Network:
             if race is not None:
                 race.note_scheduled(out_payload)
 
+    def _hold(self, frm: Vertex, to: Vertex, payload: Any, size: float,
+              tag: str | None, weight: float) -> None:
+        """Hold a send the budget refused, or one that follows it.
+
+        The first refusal stops the run: it halts the queue's drain loop
+        (run() probes the flag after every event when a budget is set).
+        A held send is not transmitted: no delay draw, no fault fate, no
+        observer call, nothing scheduled.  One the budget still admits is
+        charged as if it were, so a stopped run reports what it spent up
+        to the stop; :meth:`run` takes those charges back before it
+        re-sends the held sends under the budget it is then given.
+        """
+        metrics = self.metrics
+        if self._held is None:
+            self._held = []
+            self._held_counters = (
+                metrics.message_count, metrics.comm_cost,
+                dict(metrics.cost_by_tag), dict(metrics.count_by_tag))
+            self.budget_exhausted = True
+            self.queue.halted = True
+        self._held.append((self._transmit,
+                           (frm, to, payload, size, tag, weight)))
+        cost = weight * size
+        if metrics.comm_cost + cost <= self.comm_budget:
+            tag = tag or self.default_tag
+            metrics.message_count += 1
+            metrics.comm_cost += cost
+            metrics.cost_by_tag[tag] += cost
+            metrics.count_by_tag[tag] += 1
+
+    def _resend_held(self) -> None:
+        """Take back the held sends' charges and issue them again, in order."""
+        held = self._held
+        self._held = None
+        self.budget_exhausted = False
+        metrics = self.metrics
+        (metrics.message_count, metrics.comm_cost, cost_by_tag,
+         count_by_tag) = self._held_counters
+        metrics.cost_by_tag.clear()
+        metrics.cost_by_tag.update(cost_by_tag)
+        metrics.count_by_tag.clear()
+        metrics.count_by_tag.update(count_by_tag)
+        for method, args in held:
+            method(*args)
+
     def _deliver(self, frm: Vertex, to: Vertex, payload: Any) -> None:
         if to in self._down:
             # In-flight messages addressed to a crashed node are lost.
@@ -457,6 +512,11 @@ class Network:
 
     def _set_node_timer(self, node: Vertex, delay: float,
                         callback: Callable[[], None]) -> None:
+        if self._held is not None:
+            # After a held send, so that resuming schedules both in the
+            # order a run under a larger budget would have.
+            self._held.append((self._set_node_timer, (node, delay, callback)))
+            return
         self.queue.schedule_call(delay, self._timer_fire, node, callback)
 
     def _timer_fire(self, node: Vertex, callback: Callable[[], None]) -> None:
@@ -515,27 +575,8 @@ class Network:
     def all_finished(self) -> bool:
         return self._finished_count == len(self.processes)
 
-    def run(
-        self,
-        *,
-        max_time: float = float("inf"),
-        max_events: int = 50_000_000,
-        stop_when: Callable[["Network"], bool] | None = None,
-    ) -> RunResult:
-        """Start every process and run events until quiescence or a stop.
-
-        Stops when the event queue is empty, ``stop_when(self)`` becomes
-        true, the next event lies beyond ``max_time`` (events exactly *at*
-        the deadline still run; none past it does), or ``max_events``
-        events have fired (a runaway-protocol backstop that raises
-        :class:`MaxEventsExceeded`, a ``RuntimeError``).  The reason is
-        reported as ``RunResult.status``.
-
-        With no ``stop_when``, or with ``stop_when=all_finished``, the
-        queue drains itself in its fast loop (the last ``finish()`` halts
-        it); any other predicate is polled before every event.  Both give
-        the same status, event count and metrics.
-        """
+    def _start(self) -> None:
+        """The first run's prologue: crash windows, then every on_start."""
         if self.faults is not None:
             reset = getattr(self.faults, "reset", None)
             if reset is not None:
@@ -553,18 +594,55 @@ class Network:
             for node, proc in self.processes.items():
                 with self._race.run_as(node):
                     proc.on_start()
+
+    def run(
+        self,
+        *,
+        max_time: float = float("inf"),
+        max_events: int = 50_000_000,
+        stop_when: Callable[["Network"], bool] | None = None,
+    ) -> RunResult:
+        """Start every process and run events until quiescence or a stop.
+
+        Stops when the event queue is empty, ``stop_when(self)`` becomes
+        true, the next event lies beyond ``max_time`` (events exactly *at*
+        the deadline still run; none past it does), the communication
+        budget refuses a send, or ``max_events`` events have fired in this
+        call (a runaway-protocol backstop that raises
+        :class:`MaxEventsExceeded`, a ``RuntimeError``).  The reason is
+        reported as ``RunResult.status``.
+
+        With no ``stop_when``, or with ``stop_when=all_finished``, the
+        queue drains itself in its fast loop (the last ``finish()`` halts
+        it); any other predicate is polled before every event.  Both give
+        the same status, event count and metrics.
+
+        Called again on a network that has already run, it continues: no
+        ``on_start``, crash window or fault-plan reset is repeated.  The
+        sends held at a budget stop are first re-sent in order, under the
+        ``comm_budget`` then set, with the charges the stopped run made
+        for them taken back.  A network stopped at budget ``B`` and run
+        again at ``B' > B`` ends with the metrics, status,
+        ``queue.fired``, results and node state of a fresh run at ``B'``
+        — the hybrids of :mod:`repro.protocols.hybrid` resume their
+        candidates this way.
+        """
+        if not self._started:
+            self._started = True
+            self._start()
+        elif self._held is not None:
+            self._resend_held()
         status = "quiescent"
-        fired = 0
         self._halt_on_finish = halting = stop_when is all_finished
         if self.budget_exhausted:
-            pass  # a send in on_start overspent: no event fires
+            pass  # on_start or a re-sent held send overspent: no event fires
         elif halting and self.all_finished:
             if self.queue:
                 status = "stopped"
         elif stop_when is None or halting:
             # Fast path: let the queue drain itself in one tight loop.
             # The halt probe is needed only when something can halt the
-            # queue mid-run: a budget suppressing a send, or the last
+            # queue mid-run: a budget refusing a send, or the last
             # finish() under stop_when=all_finished.
             reason, fired = self.queue.run(
                 max_time=max_time,
@@ -597,14 +675,14 @@ class Network:
                 if events >= max_events:
                     raise MaxEventsExceeded(
                         f"exceeded {max_events} events; runaway protocol?")
-            fired = events
         if self.budget_exhausted:
             status = "budget_exhausted"
         if self._rec is not None:
             # Close any spans still open, stamp the outcome, and record
-            # the EventQueue's view of the same run for cross-checking.
+            # the EventQueue's view of the same run for cross-checking
+            # (every event this network fired, over all its runs).
             self._rec.finalize(self.queue.now, status=status,
-                               events_fired=fired)
+                               events_fired=self.queue.fired)
         # Note: quiescing without meeting stop_when is not an error at this
         # level; callers (runners) decide how to interpret an unfinished run.
         return RunResult(self.metrics, self.processes, status=status)

@@ -32,8 +32,9 @@ level, communication ``O(k n log W)`` and time ``O(log_k n log W)``; with
 :class:`GammaWHost` is a :class:`~repro.synch.host_base.SynchronizerHostBase`
 like alpha_w's and beta_w's hosts: the pulse-tagged data plane, the acks
 and the pulse loop are shared, and only the per-level control plane above
-is gamma_w's own.  :func:`run_gamma_w` runs the hosts through the shared
-:func:`~repro.synch.host_base.run_hosts` and returns its
+is gamma_w's own.  :func:`run_gamma_w` runs the network of hosts that
+:func:`gamma_w_network` builds through the shared
+:func:`~repro.synch.host_base.sync_outcome` and returns its
 :class:`~repro.synch.host_base.SyncResult`, whose ``control_cost`` is the
 ``sync-gamma`` traffic.
 """
@@ -48,13 +49,15 @@ from typing import Any
 from ..graphs.paths import diameter
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
+from ..sim.network import Network
 from ..sim.sync_runner import SynchronousProtocol
 from .gamma import GammaNode
-from .host_base import SynchronizerHostBase, SyncResult, run_hosts
+from .host_base import SynchronizerHostBase, SyncResult, sync_outcome
 from .normalize import normalize_graph
 from .partition import ClusterPartition, build_partition
 
-__all__ = ["GammaWConfig", "GammaWHost", "pulse_bounds", "run_gamma_w"]
+__all__ = ["GammaWConfig", "GammaWHost", "gamma_w_network", "pulse_bounds",
+           "run_gamma_w"]
 
 
 class GammaWConfig:
@@ -216,14 +219,37 @@ def run_gamma_w(
     sub-spans for the synchronizer's control traffic, so the per-span
     cost breakdown of the trace refines this function's tag accounting.
     """
+    return sync_outcome(
+        gamma_w_network(graph, inner_factory, k=k, max_pulse=max_pulse,
+                        delay=delay, seed=seed, config=config, budget=budget,
+                        recorder=recorder),
+        "sync-gamma",
+    )
+
+
+def gamma_w_network(
+    graph: WeightedGraph,
+    inner_factory: Callable[[Vertex], SynchronousProtocol],
+    *,
+    k: int = 2,
+    max_pulse: int,
+    delay: DelayModel | None = None,
+    seed: int = 0,
+    config: GammaWConfig | None = None,
+    budget: float | None = None,
+    recorder: Any | None = None,
+) -> Network:
+    """:func:`run_gamma_w`'s network of hosts, not yet run.
+
+    :func:`~repro.synch.host_base.sync_outcome` runs it, and runs it on
+    after a budget stop once the caller has raised ``comm_budget``.
+    """
     cfg = config if config is not None else GammaWConfig(graph, k)
-    return run_hosts(
+    return Network(
         cfg.normalized,
         lambda v: GammaWHost(v, cfg, inner_factory, max_pulse),
-        "sync-gamma",
-        max_pulse=max_pulse,
         delay=delay,
         seed=seed,
-        budget=budget,
+        comm_budget=budget,
         recorder=recorder,
     )

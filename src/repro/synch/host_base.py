@@ -19,8 +19,9 @@ safety to neighbors, beta_w convergecasts it over a spanning tree, gamma_w
 (in :mod:`repro.synch.gamma_w`) runs one synchronizer-gamma instance per
 weight level.
 
-All three also share one runner, :func:`run_hosts`, and one result,
-:class:`SyncResult`, which splits the run's cost into payload,
+All three also share one runner, :func:`run_hosts` (a network of hosts
+run by :func:`sync_outcome`), and one result, :class:`SyncResult`, which
+splits the run's cost into payload,
 acknowledgments and the synchronizer's own control traffic and amortizes
 the overhead per pulse (the paper's ``C(sigma)`` and ``T(sigma)``).
 """
@@ -38,7 +39,8 @@ from ..sim.process import Process
 from ..sim.sync_runner import SynchronousProtocol
 from .normalize import InSynchWrapper
 
-__all__ = ["HostSyncShim", "SyncResult", "SynchronizerHostBase", "run_hosts"]
+__all__ = ["HostSyncShim", "SyncResult", "SynchronizerHostBase", "run_hosts",
+           "sync_outcome"]
 
 
 class HostSyncShim:
@@ -210,27 +212,30 @@ def run_hosts(
     factory: Callable[[Vertex], SynchronizerHostBase],
     control_tag: str,
     *,
-    max_pulse: int,
     delay: DelayModel | None = None,
     seed: int = 0,
-    budget: float | None = None,
-    recorder: Any | None = None,
 ) -> SyncResult:
-    """Run one synchronizer host per node of the normalized graph.
+    """Run one synchronizer host per node of the normalized graph
+    (see :func:`sync_outcome`)."""
+    return sync_outcome(Network(normalized, factory, delay=delay, seed=seed),
+                        control_tag)
+
+
+def sync_outcome(net: Network, control_tag: str) -> SyncResult:
+    """Run (or resume) a network of synchronizer hosts.
 
     The run stops as soon as every hosted protocol has finished.  A run the
-    communication ``budget`` stopped first comes back with
+    network's communication budget stopped first comes back with
     ``completed=False``; any other stall raises :class:`RuntimeError`
-    (typically ``max_pulse`` is too small for the hosted protocol).
+    (typically the hosts' ``max_pulse`` is too small for the hosted
+    protocol).
     """
-    net = Network(normalized, factory, delay=delay, seed=seed,
-                  comm_budget=budget, recorder=recorder)
     net_result = net.run(stop_when=all_finished)
     if net.all_finished or net_result.status == "budget_exhausted":
         return SyncResult(net_result, control_tag, completed=net.all_finished)
-    unfinished = sum(
-        not p.ctx.is_finished for p in net_result.processes.values()
-    )
+    hosts = net_result.processes.values()
+    unfinished = sum(not p.ctx.is_finished for p in hosts)
+    max_pulse = max(p.max_pulse for p in hosts)
     raise RuntimeError(
         f"synchronizer stalled: {unfinished} of {len(net_result.processes)} "
         f"nodes unfinished (max_pulse={max_pulse} too small?)"

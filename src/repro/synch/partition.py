@@ -51,6 +51,16 @@ class ClusterPartition:
     # preferred[(i, j)] = (u, v): u in cluster i, v in cluster j, one per pair
     preferred: dict
     k: int
+    # vertex -> its preferred edges as (neighbor, other-cluster index), in
+    # ``preferred``'s order (the order gamma sends NBR_SAFE in).
+    _preferred_at: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        at: dict = {}
+        for (i, j), (u, w) in self.preferred.items():
+            at.setdefault(u, []).append((w, j))
+            at.setdefault(w, []).append((u, i))
+        self._preferred_at = at
 
     @property
     def max_depth_hops(self) -> int:
@@ -62,14 +72,7 @@ class ClusterPartition:
 
     def preferred_edges_at(self, v: Vertex) -> list[tuple[Vertex, int]]:
         """Preferred edges incident to v, as (neighbor, other-cluster index)."""
-        mine = self.cluster_of[v]
-        out = []
-        for (i, j), (u, w) in self.preferred.items():
-            if u == v:
-                out.append((w, j))
-            elif w == v:
-                out.append((u, i))
-        return out
+        return list(self._preferred_at.get(v, ()))
 
 
 def build_partition(graph: WeightedGraph, k: int = 2) -> ClusterPartition:

@@ -167,7 +167,6 @@ def run_alpha_w(
         normalize_graph(graph),
         lambda v: AlphaWHost(v, graph, inner_factory, max_pulse),
         "sync-alpha",
-        max_pulse=max_pulse,
         delay=delay,
         seed=seed,
     )
@@ -201,7 +200,6 @@ def run_beta_w(
         lambda v: BetaWHost(v, graph, inner_factory, max_pulse,
                             parent[v], children[v]),
         "sync-beta",
-        max_pulse=max_pulse,
         delay=delay,
         seed=seed,
     )

@@ -14,12 +14,36 @@ from repro.graphs import (
     tree_distances,
 )
 from repro.graphs import csr
+from repro.obs import tracing
+from repro.protocols import (
+    run_dfs,
+    run_mst_centr,
+    run_mst_ghs,
+    run_spt_recur,
+    run_spt_synch,
+)
 from repro.protocols.hybrid import (
+    _initial_budget,
     race,
     run_con_hybrid,
     run_mst_hybrid,
     run_spt_hybrid,
 )
+from repro.sim import Network, UniformDelay
+
+
+@pytest.fixture
+def networks(monkeypatch):
+    """Every Network built while the test runs, in construction order."""
+    built = []
+    real_init = Network.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Network, "__init__", init)
+    return built
 
 
 # --------------------------------------------------------------------- #
@@ -115,9 +139,9 @@ def test_mst_hybrid_ghs_wins_when_light():
     assert outcome.winner == "MST_ghs"
 
 
-def test_race_computes_the_prim_order_once(monkeypatch):
-    # Every MST_centr attempt of a race grows the same Prim order; the
-    # race computes it on its first MST_centr attempt and reuses it.
+def test_race_builds_one_network_per_candidate(monkeypatch, networks):
+    # A race resumes each candidate's network under its doubled budgets,
+    # so all its attempts run on two networks and grow one Prim order.
     calls = []
     real = csr.csr_prim_mst
 
@@ -127,11 +151,15 @@ def test_race_computes_the_prim_order_once(monkeypatch):
 
     monkeypatch.setattr(csr, "csr_prim_mst", spy)
     g = random_connected_graph(256, 256, seed=1)
-    for run, attempts in ((run_mst_hybrid, 7), (run_con_hybrid, 6)):
+    for run, attempts, centr_attempts in ((run_mst_hybrid, 15, 7),
+                                          (run_con_hybrid, 13, 6)):
         calls.clear()
+        networks.clear()
         outcome = run(g, 0, seed=1)
         centr = [h for h in outcome.history if h[0] == "MST_centr"]
-        assert len(centr) == attempts
+        assert (len(outcome.history), len(centr)) == (attempts,
+                                                      centr_attempts)
+        assert len(networks) == 2
         assert len(calls) == 1
 
 
@@ -163,12 +191,110 @@ def test_spt_hybrid_computes_spt():
 
 
 def test_spt_hybrid_total_cost_near_min():
-    from repro.protocols.spt_recur import run_spt_recur
-    from repro.protocols.spt_synch import run_spt_synch
-
     g = random_connected_graph(12, 18, seed=6, max_weight=5)
     r1, _ = run_spt_synch(g, 0)
     r2, _ = run_spt_recur(g, 0)
     best = min(r1.comm_cost, r2.comm_cost)
     outcome = run_spt_hybrid(g, 0)
     assert outcome.total_comm_cost <= 8 * best
+
+
+# --------------------------------------------------------------------- #
+# Resumed races == the restart schedule
+# --------------------------------------------------------------------- #
+
+
+def _restart(runner, *args, **kwargs):
+    """The restart oracle's attempts: a fresh public-runner run per budget."""
+
+    def attempt(budget):
+        result, output = runner(*args, budget=budget, **kwargs)
+        return result.comm_cost, result.time, output
+
+    return attempt
+
+
+def _fractional_graph():
+    g = WeightedGraph()
+    base = random_connected_graph(16, 20, seed=9)
+    for i, (u, v, w) in enumerate(base.edges()):
+        g.add_edge(u, v, w * (0.1, 1 / 3, 0.7, 1.3)[i % 4])
+    return g
+
+
+RACE_GRAPHS = {
+    "light": lambda: random_connected_graph(30, 10, seed=2, max_weight=1),
+    "dense": lambda: random_connected_graph(30, 120, seed=4, max_weight=3),
+    "small": lambda: random_connected_graph(12, 18, seed=6, max_weight=5),
+    "G_8": lambda: lower_bound_graph(8),
+    "G_4": lambda: lower_bound_graph(4),
+    "fractional": _fractional_graph,
+}
+
+# name -> (hybrid runner, restart oracle, graphs it races on).  SPT_recur
+# needs integer weights, and SPT_hybrid on G_8 takes seconds.
+RACES = {
+    "CON_hybrid": (
+        run_con_hybrid,
+        lambda g, r, **kw: {"DFS": _restart(run_dfs, g, r, **kw),
+                            "MST_centr": _restart(run_mst_centr, g, r, **kw)},
+        sorted(RACE_GRAPHS),
+    ),
+    "MST_hybrid": (
+        run_mst_hybrid,
+        lambda g, r, **kw: {"MST_ghs": _restart(run_mst_ghs, g, **kw),
+                            "MST_centr": _restart(run_mst_centr, g, r, **kw)},
+        sorted(RACE_GRAPHS),
+    ),
+    "SPT_hybrid": (
+        run_spt_hybrid,
+        lambda g, r, **kw: {"SPT_synch": _restart(run_spt_synch, g, r, **kw),
+                            "SPT_recur": _restart(run_spt_recur, g, r, **kw)},
+        ["G_4", "dense", "light", "small"],
+    ),
+}
+
+
+def _outcome_fields(outcome):
+    return (outcome.winner, list(outcome.output.edges()),
+            outcome.total_comm_cost, outcome.total_time, outcome.rounds,
+            outcome.history)
+
+
+@pytest.mark.parametrize("name", sorted(RACES))
+def test_a_resumed_race_equals_the_restart_schedule(name):
+    run, oracle, graphs = RACES[name]
+    winners = set()
+    for graph_name in graphs:
+        g = RACE_GRAPHS[graph_name]()
+        root = g.vertices[0]
+        for delay in (None, UniformDelay()):
+            outcome = run(g, root, delay=delay, seed=5)
+            restarted = race(oracle(g, root, delay=delay, seed=5),
+                             _initial_budget(g))
+            assert _outcome_fields(outcome) == _outcome_fields(restarted), (
+                graph_name, delay)
+            winners.add(outcome.winner)
+    assert winners == set(oracle(g, root))
+
+
+def test_a_traced_race_records_each_candidates_transmissions(networks):
+    g = random_connected_graph(30, 120, seed=4, max_weight=3)
+    untraced = run_mst_hybrid(g, 0)
+    networks.clear()
+    with tracing(limit=0) as session:
+        outcome = run_mst_hybrid(g, 0)
+    assert _outcome_fields(outcome) == _outcome_fields(untraced)
+    assert len(networks) == len(session.recorders) == 2
+    for net, (_label, rec) in zip(networks, session.recorders, strict=True):
+        # A held send is recorded only once a resumed run sends it: every
+        # recorded send was delivered or is still in flight.
+        assert rec.counts["send"] == rec.counts["deliver"] + len(net.queue)
+        assert rec.meta["events_fired"] == net.queue.fired
+        # The stopped candidate is also charged for the held sends that
+        # its budget admitted; the winner sent all it was charged for.
+        if net.budget_exhausted:
+            assert rec.counts["send"] <= net.metrics.message_count
+        else:
+            assert rec.counts["send"] == net.metrics.message_count
+    assert sorted(net.budget_exhausted for net in networks) == [False, True]

@@ -12,11 +12,16 @@ aggregates-only recorder must match one without it in the same way.
 loop from the last ``finish()``; any other predicate is polled before
 every event.  The stop-semantics tests require both to end every kind of
 run the same way.
+
+A run the communication budget stopped holds the refused send; run again
+under a larger budget, it must end exactly as a fresh run at that budget.
+The resume tests compare the two at every stop.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.chaos import make_cases
 from repro.faults import FaultPlan, reliable_factory
@@ -123,8 +128,11 @@ def _observe(protocol, delay, budget=None, *, polled=False, **hooks):
         stop_when = lambda n: n.all_finished  # polled by the step loop
     net = Network(graph, factory, delay=DELAYS[delay](), seed=11,
                   comm_budget=budget, **hooks)
-    result = net.run(stop_when=stop_when)
-    return net, {
+    return net, _summary(net, net.run(stop_when=stop_when))
+
+
+def _summary(net, result):
+    return {
         "metrics": result.metrics.as_dict(),
         "fired": net.queue.fired,
         "status": result.status,
@@ -266,6 +274,142 @@ def test_budget_exhausted_in_on_start_fires_no_event(stop_when):
     assert net.queue.fired == 0
     assert result.message_count == 1
     assert result.comm_cost == 5.0
+
+
+# --------------------------------------------------------------------- #
+# A budget-stopped run resumed under a larger budget == a fresh run there
+# --------------------------------------------------------------------- #
+
+MODES = {"lean": dict, **HOOKS}
+_FULL_COST: dict = {}
+
+
+def _full_cost(protocol, delay):
+    if (protocol, delay) not in _FULL_COST:
+        summary = _observe(protocol, delay)[1]
+        _FULL_COST[protocol, delay] = summary["metrics"]["comm_cost"]
+    return _FULL_COST[protocol, delay]
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(sorted(PROTOCOLS)),
+       delay=st.sampled_from(sorted(DELAYS)),
+       mode=st.sampled_from(sorted(MODES)),
+       polled=st.booleans(),
+       shares=st.lists(st.floats(0.0, 1.1), min_size=2, max_size=4,
+                       unique=True).map(sorted))
+def test_a_resumed_run_matches_a_fresh_run_at_every_stop(
+        protocol, delay, mode, polled, shares):
+    full = _full_cost(protocol, delay)
+    graph, factory, stop_when = PROTOCOLS[protocol]()
+    if polled and stop_when is all_finished:
+        stop_when = lambda n: n.all_finished
+    net = Network(graph, factory, delay=DELAYS[delay](), seed=11,
+                  **MODES[mode]())
+    for share in shares:
+        budget = share * full
+        net.comm_budget = budget
+        resumed = _summary(net, net.run(stop_when=stop_when))
+        fresh = _observe(protocol, delay, budget, polled=polled,
+                         **MODES[mode]())[1]
+        assert resumed == fresh
+        if resumed["status"] != "budget_exhausted":
+            break
+        assert resumed["metrics"]["comm_cost"] <= budget
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("stop_when", [None, all_finished, lambda n: False],
+                         ids=["fast", "halting", "step"])
+def test_a_refusal_in_on_start_resumes(stop_when, mode):
+    # Budget 6 stops in on_start, 10 in node 1's forward, 11 completes.
+    g = WeightedGraph([(0, 1, 5), (0, 2, 5), (1, 3, 1)])
+    net = Network(g, lambda v: _OverspendAtStart(), comm_budget=6,
+                  **MODES[mode]())
+    statuses = []
+    for budget in (6, 10, 11):
+        net.comm_budget = budget
+        resumed = _summary(net, net.run(stop_when=stop_when))
+        fresh_net = Network(g, lambda v: _OverspendAtStart(),
+                            comm_budget=budget, **MODES[mode]())
+        assert resumed == _summary(fresh_net,
+                                   fresh_net.run(stop_when=stop_when))
+        statuses.append((resumed["status"], resumed["fired"]))
+    # At 10 the drain stops inside the t = 5 batch (delivery to node 2
+    # still queued), and resuming fires the rest of that batch first.
+    assert statuses == [("budget_exhausted", 0), ("budget_exhausted", 1),
+                        ("quiescent", 3)]
+
+
+class _Fan(Process):
+    """Node 1 answers node 0's message with one send to every other
+    neighbor and then a timer that pings node 0; the leaves answer node 1.
+    Every handler appends to the log the factory shares."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_start(self):
+        if self.node_id == 0:
+            self.send(1, "go")
+
+    def on_message(self, frm, payload):
+        self.log.append((self.now, self.node_id, frm, payload))
+        if self.node_id == 1 and payload == "go":
+            for v in self.neighbors():
+                if v != frm:
+                    self.send(v, "fan")
+            self.set_timer(2.0, self._tick)
+        elif self.node_id > 1:
+            self.send(1, "back")
+
+    def _tick(self):
+        self.log.append((self.now, self.node_id, "tick"))
+        self.send(0, "tick")
+
+
+def _fan(delay, mode, budget=None):
+    g = WeightedGraph([(0, 1, 1), (1, 2, 2), (1, 3, 1), (1, 4, 3)])
+    log = []
+    net = Network(g, lambda v: _Fan(log), delay=DELAYS[delay](), seed=3,
+                  comm_budget=budget, **MODES[mode]())
+    return net, log
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("delay", ["maximal", "uniform"])
+def test_one_events_sends_cross_two_budgets(delay, mode):
+    # Node 1's fan costs 2, 1 and 3 after the first hop's 1.  At budget 2
+    # the first fan send is refused and the second (which fits) is held
+    # and charged; at 4 the third is refused again, in the same event's
+    # re-sent sends; at 100 the run completes.  The timer set after the
+    # held sends fires at t = 3 with the delivery to node 2 under
+    # MaximalDelay, after it, as in a fresh run.
+    net, log = _fan(delay, mode)
+    charged = []
+    for budget in (2, 4, 100):
+        net.comm_budget = budget
+        resumed = _summary(net, net.run())
+        fresh, fresh_log = _fan(delay, mode, budget)
+        assert (resumed, log) == (_summary(fresh, fresh.run()), fresh_log)
+        charged.append((resumed["status"], resumed["metrics"]["comm_cost"],
+                        resumed["metrics"]["message_count"]))
+    assert charged == [("budget_exhausted", 2.0, 2),
+                       ("budget_exhausted", 4.0, 3),
+                       ("quiescent", 14.0, 8)]
+
+
+def test_a_held_send_is_recorded_when_it_is_sent():
+    net, _log = _fan("maximal", "recorder", budget=2)
+    rec = net.recorder
+    net.run()
+    # Charged: the first hop and the held send that fits; sent: the hop.
+    assert net.metrics.message_count == 2
+    assert rec.counts["send"] == 1
+    net.comm_budget = None
+    net.run()
+    assert rec.counts["send"] == net.metrics.message_count == 8
+    assert rec.meta["events_fired"] == net.queue.fired
 
 
 # --------------------------------------------------------------------- #

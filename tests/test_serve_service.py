@@ -166,6 +166,40 @@ def test_cached_trace_payload_still_verifies(client):
     assert cached["payload"] == cold["payload"]
 
 
+@pytest.mark.parametrize("concurrent", [False, True],
+                         ids=["one-by-one", "concurrent"])
+def test_snapshot_requests_over_one_spec_build_it_once(client, monkeypatch,
+                                                        concurrent):
+    from repro.experiments.parallel import snapshot_rows
+    from repro.graphs import generators, shm
+
+    calls = []
+    real = generators.random_connected_flat
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "random_connected_flat", counted)
+    shm.unlink_all()
+    creates = shm.stats()["shm_creates"]
+    requests = [dict(REQUESTS["snapshot"], sweep=sweep)
+                for sweep in ("stripe", "sources")]
+    if concurrent:
+        responses = client.request_many(requests)
+    else:
+        responses = [client.request(r) for r in requests]
+    assert [r["source"] for r in responses] == ["executed"] * 2
+    assert len(calls) == 1
+    assert shm.stats()["shm_creates"] - creates == 1
+    # The bytes of a direct sweep of the same snapshot.
+    handle = shm.published_spec(("random_connected", 40, 60, 0, 10.0))
+    for request, response in zip(requests, responses, strict=True):
+        rows = snapshot_rows(handle, kind=request["sweep"], limit=8,
+                             kernel="python")
+        assert response["body"] == payload_bytes(rows)
+
+
 @pytest.mark.parametrize("kind", sorted(REQUESTS))
 def test_pooled_service_answers_alike_and_simulates_nothing(monkeypatch, kind):
     # With jobs > 1 every cold request runs in the pool's workers, one-cell

@@ -9,6 +9,7 @@ from repro.graphs import (
     diameter,
     dijkstra,
     grid_graph,
+    lower_bound_graph,
     network_params,
     path_graph,
     random_connected_graph,
@@ -70,6 +71,35 @@ def test_partition_preferred_edges_consistent():
         assert g.has_edge(u, v)
         assert j in part.clusters[i].neighbor_clusters
         assert i in part.clusters[j].neighbor_clusters
+
+
+def _scan_preferred_edges_at(part, v):
+    """The per-call scan the per-vertex index replaced."""
+    out = []
+    for (i, j), (u, w) in part.preferred.items():
+        if u == v:
+            out.append((w, j))
+        elif w == v:
+            out.append((u, i))
+    return out
+
+
+@pytest.mark.parametrize("graph", [
+    random_connected_graph(40, 80, seed=5, max_weight=9),
+    random_connected_graph(60, 30, seed=6, max_weight=1000),
+    lower_bound_graph(6),
+    lower_bound_graph(12),
+], ids=["random", "random_heavy", "G_6", "G_12"])
+def test_preferred_edge_index_equals_the_scan(graph):
+    # Every level's partition of gamma_w, and the whole graph's; the order
+    # matters (it is the order NBR_SAFE goes out in).
+    cfg = GammaWConfig(graph, k=2)
+    parts = [*cfg.partitions.values(), build_partition(graph, k=3)]
+    for part in parts:
+        for v in part.cluster_of:
+            assert part.preferred_edges_at(v) == _scan_preferred_edges_at(
+                part, v)
+    assert any(part.preferred for part in parts)
 
 
 def test_partition_cluster_trees_valid():
