@@ -19,9 +19,9 @@ safety to neighbors, beta_w convergecasts it over a spanning tree, gamma_w
 (in :mod:`repro.synch.gamma_w`) runs one synchronizer-gamma instance per
 weight level.
 
-All three also share one runner, :func:`run_hosts` (a network of hosts
-run by :func:`sync_outcome`), and one result, :class:`SyncResult`, which
-splits the run's cost into payload,
+All three also share one run step, :func:`sync_outcome` (alpha_w and
+beta_w reach it through :func:`run_hosts`), and one result,
+:class:`SyncResult`, which splits the run's cost into payload,
 acknowledgments and the synchronizer's own control traffic and amortizes
 the overhead per pulse (the paper's ``C(sigma)`` and ``T(sigma)``).
 """

@@ -178,25 +178,33 @@ def test_snapshot_requests_over_one_spec_build_it_once(client, monkeypatch,
 
     def counted(*args, **kwargs):
         calls.append(args)
+        time.sleep(0.05)  # a slow build: the others look up meanwhile
         return real(*args, **kwargs)
 
     monkeypatch.setattr(generators, "random_connected_flat", counted)
     shm.unlink_all()
     creates = shm.stats()["shm_creates"]
-    requests = [dict(REQUESTS["snapshot"], sweep=sweep)
-                for sweep in ("stripe", "sources")]
+    # Four distinct addresses over one spec: with `concurrent`, four
+    # threads look the graph up at once, switching often.
+    requests = [dict(REQUESTS["snapshot"], sweep=sweep, limit=limit)
+                for limit in (8, 6) for sweep in ("stripe", "sources")]
     if concurrent:
-        responses = client.request_many(requests)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            responses = client.request_many(requests)
+        finally:
+            sys.setswitchinterval(interval)
     else:
         responses = [client.request(r) for r in requests]
-    assert [r["source"] for r in responses] == ["executed"] * 2
+    assert [r["source"] for r in responses] == ["executed"] * 4
     assert len(calls) == 1
     assert shm.stats()["shm_creates"] - creates == 1
     # The bytes of a direct sweep of the same snapshot.
     handle = shm.published_spec(("random_connected", 40, 60, 0, 10.0))
     for request, response in zip(requests, responses, strict=True):
-        rows = snapshot_rows(handle, kind=request["sweep"], limit=8,
-                             kernel="python")
+        rows = snapshot_rows(handle, kind=request["sweep"],
+                             limit=request["limit"], kernel="python")
         assert response["body"] == payload_bytes(rows)
 
 
