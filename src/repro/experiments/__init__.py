@@ -16,16 +16,13 @@ Render the full report from the command line:
 
 from .base import Table, all_experiments, experiment, render_markdown, render_text
 from .parallel import (
-    SnapshotCell,
     cell_seed,
     chaos_cells,
     chaos_rows,
     pool_shm_stats,
     run_chaos_cell,
     run_parallel,
-    run_snapshot_cell,
     shutdown_pool,
-    snapshot_cells,
     snapshot_rows,
 )
 from .chaos import PROTOCOLS, RunSpec, case_of, run_spec
@@ -49,9 +46,6 @@ __all__ = [
     "chaos_rows",
     "shutdown_pool",
     # snapshot sweeps (zero-copy shared-memory graphs)
-    "SnapshotCell",
-    "snapshot_cells",
-    "run_snapshot_cell",
     "snapshot_rows",
     "pool_shm_stats",
 ]

@@ -23,7 +23,7 @@ process boundary, so workers return flat summary rows
 path (``jobs=None``/``1``) runs the same worker in-process, so serial and
 parallel sweeps produce byte-identical row lists.
 
-**Amortization.**  Three layers keep per-cell overhead flat:
+**Amortization.**  Four layers keep per-cell overhead flat:
 
 * one worker pool per ``(jobs, kernel backend)`` is *persistent*: the
   first parallel call creates it and every later call reuses it, whatever
@@ -39,9 +39,13 @@ parallel sweeps produce byte-identical row lists.
   the sweep — and every pool task carries those compact ``(answer, time,
   comm_cost)`` summaries into the worker's memo; the case suite and
   anything not warmed are memoized per process on first use by
-  :mod:`repro.experiments.chaos`, and a snapshot is attached by the
-  first cell that names it (:func:`repro.graphs.shm.attach`, whose
-  per-process cache holds a bounded number of attachments);
+  :mod:`repro.experiments.chaos`;
+* a snapshot sweep dispatches *blocks*, not rows: each pool task is one
+  :class:`SnapshotBlock`, a vertex or source range (a serial sweep is
+  one block), and the process running it attaches the snapshot once
+  (:func:`repro.graphs.shm.attach`, whose per-process cache holds a
+  bounded number of attachments) and calls the kernel once per cell, so
+  no process builds, pickles or attaches anything per row;
 * :func:`parallel_plan` picks the execution mode: serial when the pool
   cannot pay for itself (``jobs <= 1``, a single cell, fewer than two
   usable CPUs, or too few cells per worker), otherwise a chunksize sized
@@ -54,7 +58,6 @@ from __future__ import annotations
 import atexit
 import hashlib
 import os
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -62,6 +65,17 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
+
+# Bound here under their own names, so that a wrapper rebinding each
+# module's same-named attribute (perfbench's ledger) sees every call.
+from ..graphs import shm
+from ..graphs.csr import flat_source_stats, flat_stripe_stats
+from ..graphs.npkernels import (
+    kernel_backend,
+    np_flat_source_stats,
+    numpy_available,
+    set_kernel_backend,
+)
 
 if TYPE_CHECKING:
     from ..graphs.shm import SnapshotHandle
@@ -76,9 +90,7 @@ __all__ = [
     "run_chaos_cell",
     "chaos_rows",
     "run_experiment_by_key",
-    "SnapshotCell",
-    "snapshot_cells",
-    "run_snapshot_cell",
+    "SnapshotBlock",
     "snapshot_rows",
     "pool_shm_stats",
 ]
@@ -143,7 +155,7 @@ def parallel_plan(
     return ("pool", max(1, n_cells // (jobs * _CHUNK_WAVES)))
 
 
-def _worker_init(kernel_backend: str) -> None:
+def _worker_init(backend: str) -> None:
     """Per-worker initializer: pin the kernel backend the parent resolved.
 
     Every worker then computes graph parameters through the same kernels
@@ -151,12 +163,10 @@ def _worker_init(kernel_backend: str) -> None:
     contract.  (The kernels are value-identical anyway; pinning makes the
     guarantee structural rather than incidental.)  It runs no simulation
     and attaches no snapshot: a pool task carries the fault-free
-    references its cells need, and a cell attaches its snapshot on first
-    use.
+    references its cells need, and a snapshot block attaches its
+    snapshot.
     """
-    from ..graphs.npkernels import set_kernel_backend
-
-    set_kernel_backend(kernel_backend)
+    set_kernel_backend(backend)
 
 
 def shutdown_pool() -> None:
@@ -167,14 +177,10 @@ def shutdown_pool() -> None:
     """
     _dispose_pool()
     # Workers are gone, so nothing maps the published graph segments any
-    # more: unlink them all.  Guarded on the module being imported — a
-    # process that never published has nothing to clean, and this also
-    # runs from atexit where fresh imports are unwelcome.  (Internal pool
-    # disposals use _dispose_pool directly: a backend change or a broken
-    # pool must not unlink segments a sweep is still reading.)
-    shm = sys.modules.get("repro.graphs.shm")
-    if shm is not None:
-        shm.unlink_all()
+    # more: unlink them all.  (Internal pool disposals use _dispose_pool
+    # directly: a backend change or a broken pool must not unlink
+    # segments a sweep is still reading.)
+    shm.unlink_all()
 
 
 def _dispose_pool(pool: ProcessPoolExecutor | None = None) -> None:
@@ -189,15 +195,32 @@ def _dispose_pool(pool: ProcessPoolExecutor | None = None) -> None:
         if _pool is None or (pool is not None and pool is not _pool):
             return
         live, _pool, _pool_key = _pool, None, None
-    live.shutdown(wait=True, cancel_futures=True)
+    _shutdown(live)
+
+
+def _shutdown(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down and reap every worker it started.
+
+    When one of a map's futures fails with ``BrokenProcessPool``, the map
+    cancels the others while the pool's manager thread is still failing
+    them.  On Python 3.10 and 3.11 that thread then dies of
+    ``InvalidStateError`` before it terminates the surviving workers,
+    which would outlive the pool and keep the interpreter from exiting.
+    So the workers are noted first, and any still alive after the
+    shutdown are terminated and joined here.
+    """
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=True, cancel_futures=True)
+    for proc in workers:
+        if proc.is_alive():
+            proc.terminate()
+        proc.join()
 
 
 def _get_pool(jobs: int) -> ProcessPoolExecutor:
     """The persistent pool for ``(jobs, kernel backend)``: the only
     state its workers depend on."""
     global _pool, _pool_key, _atexit_registered
-    from ..graphs.npkernels import kernel_backend
-
     backend = kernel_backend()
     key = (jobs, backend)
     stale = None
@@ -214,8 +237,31 @@ def _get_pool(jobs: int) -> ProcessPoolExecutor:
                 _atexit_registered = True
         pool = _pool
     if stale is not None:
-        stale.shutdown(wait=True, cancel_futures=True)
+        _shutdown(stale)
     return pool
+
+
+def _task_plan(
+    n_cells: int,
+    jobs: int | None,
+    force: str | None,
+    batch: int | None,
+    chunksize: int | None,
+) -> tuple[int, int]:
+    """``(workers, cells per pool task)`` for a map of ``n_cells``, as
+    :func:`run_parallel` documents its options; ``(0, n_cells)`` when the
+    map runs serially."""
+    if force not in (None, "serial", "pool"):
+        raise ValueError(f"force must be None, 'serial', or 'pool': {force!r}")
+    if force == "pool":
+        workers = jobs if jobs and jobs > 1 else 2
+        auto_chunk = max(1, n_cells // (workers * _CHUNK_WAVES))
+    else:
+        mode, auto_chunk = parallel_plan(n_cells, jobs)
+        if force == "serial" or mode == "serial":
+            return 0, n_cells
+        workers = jobs or 0
+    return workers, max(batch or 1, chunksize or auto_chunk)
 
 
 def _run_task(task: tuple) -> list:
@@ -254,7 +300,10 @@ def run_parallel(
     Each pool task is a group of cells.  A group holds ``chunksize``
     cells (``None``: the plan's adaptive chunksize), and at least
     ``batch`` when that is set, so huge sweeps of cheap cells pay one
-    pickle round-trip per group; serial runs ignore both.  ``warm``
+    pickle round-trip per group; serial runs ignore both.
+    :func:`snapshot_rows` sizes its blocks by this same plan and maps
+    them one block per task, so a snapshot sweep's cells are never
+    pickled one by one.  ``warm``
     names the chaos references the cells need, as ``(n, extra_edges,
     graph_seed, protocols)`` specs (``protocols=None``: the matrix
     cases).  This process computes them once, through the memo of
@@ -272,17 +321,9 @@ def run_parallel(
     description, so a re-run is byte-identical.
     """
     cells = list(cells)
-    if force not in (None, "serial", "pool"):
-        raise ValueError(f"force must be None, 'serial', or 'pool': {force!r}")
-    if force == "pool":
-        workers = jobs if jobs and jobs > 1 else 2
-        mode, auto_chunk = "pool", max(1, len(cells) // (workers * _CHUNK_WAVES))
-    else:
-        workers = jobs or 0
-        mode, auto_chunk = parallel_plan(len(cells), jobs)
-    if force == "serial" or mode == "serial":
+    workers, size = _task_plan(len(cells), jobs, force, batch, chunksize)
+    if not workers:
         return [fn(c) for c in cells]
-    size = max(batch or 1, chunksize or auto_chunk)
     references: dict = {}
     if warm:
         from .chaos import _warm_references
@@ -430,71 +471,38 @@ def chaos_rows(
 
 
 # --------------------------------------------------------------------- #
-# Snapshot sweeps: zero-copy cells over a published shared-memory graph
+# Snapshot sweeps: blocks of cells over a published shared-memory graph
 # --------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
-class SnapshotCell:
-    """One cell of a sweep over a published graph snapshot.
+class SnapshotBlock:
+    """One dispatched unit of a sweep over a published graph snapshot.
 
-    Carries the :class:`~repro.graphs.shm.SnapshotHandle` itself —
-    handles are frozen dataclasses of primitives, so the cell pickles in
-    O(1) regardless of graph size; the worker resolves it through its
-    process-local attachment cache (the first cell to name a handle maps
-    the segment, later ones reuse the mapping), so no cell ever copies or
-    rebuilds graph buffers.
+    A block covers the vertices (``kind="stripe"``) or sources
+    (``kind="sources"``) ``lo..hi-1`` and is cut into cells of
+    ``cell_size`` of them; each cell gives one row.  It carries the
+    :class:`~repro.graphs.shm.SnapshotHandle` itself, a frozen dataclass
+    of primitives, so a block pickles in O(1) whatever the graph's size
+    or the block's length.  The block is attached once, through the
+    process-local attachment cache, and no cell copies or rebuilds graph
+    buffers.
 
-    ``kind`` selects the kernel: ``"stripe"`` computes O(deg) local
-    adjacency stats for vertices ``lo..hi-1`` (pure snapshot-read cells —
-    the acceptance sweep's shape), ``"sources"`` runs per-source SSSP
-    aggregates for sources ``lo..hi-1``.  ``kernel`` pins the backend for
-    ``"sources"`` cells (``"python"`` or ``"numpy"``); it is resolved at
-    *cell-creation* time so serial and pooled executions of the same cell
-    list are structurally guaranteed to run the same kernel.  A numpy
-    pin still runs the Python kernel on graphs of at most
-    ``_PY_SOURCES_MAX_M2`` directed edges; that rule depends only on the
-    pin and the graph, so it too is fixed per cell.
+    A stripe cell computes O(deg) adjacency stats; a source cell runs one
+    SSSP per source.  ``kernel`` pins the source kernel (``"python"`` or
+    ``"numpy"``), resolved once in the dispatching process, so serial and
+    pooled sweeps run the same kernel.  A numpy pin still runs the Python
+    kernel on graphs of at most ``_PY_SOURCES_MAX_M2`` directed edges;
+    that rule depends only on the pin and the graph, so it is the same
+    for every cell.
     """
 
     handle: SnapshotHandle
     kind: str
     lo: int
     hi: int
+    cell_size: int
     kernel: str
-
-
-def snapshot_cells(
-    handle: SnapshotHandle,
-    *,
-    kind: str = "sources",
-    limit: int | None = None,
-    cell_size: int = 1,
-    kernel: str | None = None,
-) -> list[SnapshotCell]:
-    """The cell list of a snapshot sweep, in vertex/source order.
-
-    ``limit`` caps how many vertices (``"stripe"``) or sources
-    (``"sources"``) the sweep covers — big-tier runs sample a prefix
-    rather than all ``n``.  ``cell_size`` vertices/sources go into each
-    cell.  ``kernel=None`` resolves the ambient backend once, here, so
-    the cells carry it explicitly (see :class:`SnapshotCell`).
-    """
-    if kind not in ("stripe", "sources"):
-        raise ValueError(f"kind must be 'stripe' or 'sources': {kind!r}")
-    if cell_size < 1:
-        raise ValueError(f"cell_size must be >= 1: {cell_size}")
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0: {limit}")
-    if kernel is None:
-        from ..graphs.npkernels import kernel_backend
-
-        kernel = kernel_backend()
-    count = handle.n if limit is None else min(limit, handle.n)
-    return [
-        SnapshotCell(handle, kind, lo, min(lo + cell_size, count), kernel)
-        for lo in range(0, count, cell_size)
-    ]
 
 
 #: Numpy-pinned source cells on graphs with at most this many directed
@@ -504,28 +512,26 @@ def snapshot_cells(
 _PY_SOURCES_MAX_M2 = 512
 
 
-def run_snapshot_cell(cell: SnapshotCell) -> dict:
-    """Execute one snapshot cell against the attached shared segment.
+def _run_snapshot_block(block: SnapshotBlock) -> list[dict]:
+    """Attach ``block``'s snapshot once, then run its kernel on each cell.
 
     :func:`~repro.graphs.shm.attach` resolves the handle zero-copy from
-    the worker's attachment cache (or the segment itself on a cold
-    process; or a spec rebuild when shared memory is unavailable — the
-    graceful-degradation path).  Dispatches on the cell's pinned kind and
-    kernel, and on the graph's size (``_PY_SOURCES_MAX_M2``); both
-    kernels return the same row shape with a byte-identity digest, so
-    serial == pool comparisons are plain ``==`` on row lists.
+    the process's attachment cache (or the segment itself on a cold
+    process; or a spec rebuild when shared memory is unavailable).  Both
+    source kernels return the same row shape with a byte-identity digest,
+    so serial == pool comparisons are plain ``==`` on row lists.
     """
-    from ..graphs import shm
-    from ..graphs.csr import flat_source_stats, flat_stripe_stats
-    from ..graphs.npkernels import np_flat_source_stats, numpy_available
-
-    flat = shm.attach(cell.handle)
-    if cell.kind == "stripe":
-        return flat_stripe_stats(flat, cell.lo, cell.hi)
-    if (cell.kernel == "numpy" and numpy_available()
+    flat = shm.attach(block.handle)
+    if block.kind == "stripe":
+        kernel = flat_stripe_stats
+    elif (block.kernel == "numpy" and numpy_available()
             and flat.m2 > _PY_SOURCES_MAX_M2):
-        return np_flat_source_stats(flat, cell.lo, cell.hi)
-    return flat_source_stats(flat, cell.lo, cell.hi)
+        kernel = np_flat_source_stats
+    else:
+        kernel = flat_source_stats
+    step, hi = block.cell_size, block.hi
+    return [kernel(flat, lo, min(lo + step, hi))
+            for lo in range(block.lo, hi, step)]
 
 
 def snapshot_rows(
@@ -540,27 +546,46 @@ def snapshot_rows(
     batch: int | None = None,
     chunksize: int | None = None,
 ) -> list[dict]:
-    """Sweep a published snapshot, optionally sharded; rows in cell order.
+    """Sweep a published snapshot, optionally sharded; one row per cell.
 
-    Each worker attaches the segment the first time one of its cells
-    names the handle and runs every cell zero-copy against it — exactly
-    one graph build per sweep, which :func:`pool_shm_stats` lets callers
-    assert.  The pool is the one every sweep shares: a new handle needs
-    no new workers.  Serial (``jobs<=1`` or ``force="serial"``) runs the
-    same cells in-process against the same published flat, so serial and
-    pool row lists are byte-identical.
+    ``limit`` caps how many vertices (``"stripe"``) or sources
+    (``"sources"``) the sweep covers (big-tier runs sample a prefix), and
+    each cell holds ``cell_size`` of them.  ``kernel=None`` resolves the
+    ambient backend once, here (see :class:`SnapshotBlock`).
+
+    The cell count chooses serial or pool as in :func:`run_parallel`,
+    and ``jobs``, ``force``, ``batch`` and ``chunksize`` keep their
+    meaning there: ``batch`` and ``chunksize`` count cells per pool task.
+    Each task is one :class:`SnapshotBlock` of that many cells; a serial
+    sweep is one block.  A process attaches the segment once per block
+    and runs every cell zero-copy against it: exactly one graph build per
+    sweep, which :func:`pool_shm_stats` lets callers assert.  The pool is
+    the one every sweep shares, so a new handle needs no new workers.
+    Serial and pooled row lists are byte-identical.
     """
-    cells = snapshot_cells(handle, kind=kind, limit=limit,
-                           cell_size=cell_size, kernel=kernel)
-    return run_parallel(run_snapshot_cell, cells, jobs=jobs, force=force,
-                        batch=batch, chunksize=chunksize)
+    if kind not in ("stripe", "sources"):
+        raise ValueError(f"kind must be 'stripe' or 'sources': {kind!r}")
+    if cell_size < 1:
+        raise ValueError(f"cell_size must be >= 1: {cell_size}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0: {limit}")
+    if kernel is None:
+        kernel = kernel_backend()
+    count = handle.n if limit is None else min(limit, handle.n)
+    workers, size = _task_plan(-(-count // cell_size), jobs, force, batch,
+                               chunksize)
+    span = max(1, size) * cell_size
+    blocks = [SnapshotBlock(handle, kind, lo, min(lo + span, count),
+                            cell_size, kernel)
+              for lo in range(0, count, span)]
+    rows = run_parallel(_run_snapshot_block, blocks, jobs=workers,
+                        force="pool" if workers else "serial", chunksize=1)
+    return [row for block in rows for row in block]
 
 
 def _probe_shm_stats(handles: tuple) -> dict:
     """Worker-side probe: attach ``handles``, then report this process's
     shm counters, keyed by pid."""
-    from ..graphs import shm
-
     for handle in handles:
         shm.attach(handle)
     return {"pid": os.getpid(), **shm.stats()}

@@ -530,7 +530,7 @@ class FlatGraph:
 
     __slots__ = (
         "n", "indptr", "indices", "weights", "integral", "wmax",
-        "spec", "version", "np_cache", "_fp",
+        "spec", "version", "np_cache", "_fp", "_bytes",
     )
 
     def __init__(
@@ -563,6 +563,7 @@ class FlatGraph:
         self.version = version
         self.np_cache: Any = None  # NPFlat memo, owned by repro.graphs.npkernels
         self._fp: str | None = None
+        self._bytes: tuple[memoryview, memoryview, memoryview] | None = None
 
     @property
     def m2(self) -> int:
@@ -579,12 +580,19 @@ class FlatGraph:
         return 8 * (self.n + 1 + 2 * self.m2)
 
     def buffers(self) -> tuple[memoryview, memoryview, memoryview]:
-        """Byte views of ``(indptr, indices, weights)`` — the shm payload."""
-        return (
-            _byte_view(self.indptr),
-            _byte_view(self.indices),
-            _byte_view(self.weights),
-        )
+        """Byte views of ``(indptr, indices, weights)`` — the shm payload.
+
+        Cast on first use and kept on the graph.  Like the typed views of
+        an attached graph, they keep its mapping alive exactly as long as
+        the graph itself.
+        """
+        if self._bytes is None:
+            self._bytes = (
+                _byte_view(self.indptr),
+                _byte_view(self.indices),
+                _byte_view(self.weights),
+            )
+        return self._bytes
 
     @property
     def fingerprint(self) -> str:
@@ -795,28 +803,25 @@ def flat_source_stats(flat: FlatGraph, lo: int, hi: int) -> dict[str, Any]:
 def flat_stripe_stats(flat: FlatGraph, lo: int, hi: int) -> dict[str, Any]:
     """Local adjacency stats for the vertex stripe ``lo..hi-1``.
 
-    O(stripe edges), zero-copy: reads the three buffers directly (byte
-    slices feed the digest, a typed view feeds the float accumulators)
-    and never materializes per-vertex structures.  Backend-independent by
-    construction — there is nothing to vectorize, the cost *is* the read
-    — so stripe sweeps exercise pure snapshot-attachment overhead, which
-    is what the one-build-per-sweep acceptance counter measures.
+    O(stripe edges): byte slices of the graph's cached buffer views feed
+    the digest, and one slice of the weights feeds the float
+    accumulators, added left to right; no per-vertex structure is built.
+    Backend-independent by construction — there is nothing to vectorize,
+    the cost *is* the read.
     """
     n = flat.n
     if not 0 <= lo <= hi <= n:
         raise IndexError(f"vertex range [{lo}, {hi}) out of bounds 0..{n}")
     indptr = flat.indptr
-    j0 = int(indptr[lo])
-    j1 = int(indptr[hi])
+    j0 = indptr[lo]
+    j1 = indptr[hi]
     ipb, idb, wb = flat.buffers()
-    h = hashlib.sha256()
-    h.update(ipb[8 * lo:8 * (hi + 1)])
+    h = hashlib.sha256(ipb[8 * lo:8 * (hi + 1)])
     h.update(idb[8 * j0:8 * j1])
     h.update(wb[8 * j0:8 * j1])
     wmax = 0.0
     wsum = 0.0
-    wview = memoryview(flat.weights)
-    for w in wview[j0:j1]:
+    for w in flat.weights[j0:j1]:
         wsum += w
         if w > wmax:
             wmax = w

@@ -17,10 +17,12 @@ cell first and then shipped with every task of the sweep, so no worker
 simulates outside a cell it ran.  Without a pool the same cells run
 in-process.
 
-Small-cell batching: sweeps with many cheap cells are dispatched in
-grouped batches (``run_parallel(..., batch=...)``, the ``snapshot_rows``
-mechanism), so a pooled request pays one pickle round-trip per *group*
-rather than per cell.
+Small-cell batching: chaos sweeps with many cells are dispatched in
+grouped batches (``run_parallel(..., batch=...)``), so a pooled request
+pays one pickle round-trip per *group* rather than per cell.  A
+snapshot request goes through ``snapshot_rows``, whose pool tasks are
+blocks: one picklable vertex or source range each, attached once in the
+worker, whatever its number of cells.
 """
 
 from __future__ import annotations
@@ -114,22 +116,16 @@ def _execute_snapshot(canon: dict, jobs: int | None) -> list[dict]:
     ``_snapshot_lock``, so concurrent cold requests cannot both build.
     """
     from ..graphs import shm
-    from ..experiments.parallel import (
-        run_parallel,
-        run_snapshot_cell,
-        snapshot_cells,
-    )
+    from ..experiments.parallel import snapshot_rows
 
     spec = tuple(canon["spec"])
     with _snapshot_lock:
         handle = shm.published_spec(spec)
         if handle is None:
             handle = shm.publish(shm.build_spec(spec))
-    cells = snapshot_cells(handle, kind=canon["sweep"], limit=canon["limit"],
-                           cell_size=canon["cell_size"],
-                           kernel=canon["backend"])
-    return run_parallel(run_snapshot_cell, cells, jobs=jobs,
-                        force=_force(jobs), batch=_auto_batch(len(cells)))
+    return snapshot_rows(handle, jobs=jobs, kind=canon["sweep"],
+                         limit=canon["limit"], cell_size=canon["cell_size"],
+                         kernel=canon["backend"], force=_force(jobs))
 
 
 def run_trace_cell(spec: RunSpec) -> str:

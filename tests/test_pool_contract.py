@@ -9,22 +9,22 @@ replaced without unlinking the snapshots a sweep is reading.
 """
 
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import chaos, parallel
-from repro.experiments.chaos import RunSpec
 from repro.experiments.parallel import (
     chaos_cells,
     chaos_rows,
     run_chaos_cell,
     run_parallel,
-    run_snapshot_cell,
     shutdown_pool,
-    snapshot_cells,
     snapshot_rows,
 )
 from repro.graphs import (
@@ -34,10 +34,12 @@ from repro.graphs import (
     shm_available,
 )
 from repro.graphs import shm
+from repro.graphs.csr import flat_stripe_stats
 
 needs_shm = pytest.mark.skipif(not shm_available(),
                                reason="no shared memory on this platform")
 
+REPO = Path(__file__).resolve().parent.parent
 #: The test process; a cell that sees another pid runs in a pool worker.
 _PARENT = os.getpid()
 _run_chaos = chaos.run_chaos
@@ -79,9 +81,16 @@ def _worker_state(_):
 def _die_in_worker(cell):
     if os.getpid() != _PARENT:
         os._exit(1)
-    if isinstance(cell, RunSpec):
-        return run_chaos_cell(cell)
-    return run_snapshot_cell(cell)
+    return run_chaos_cell(cell)
+
+
+def _stripe_dies_in_worker_at(lo_dead):
+    """``flat_stripe_stats`` that ends the worker running cell ``lo_dead``."""
+    def run(flat, lo, hi):
+        if lo == lo_dead and os.getpid() != _PARENT:
+            os._exit(1)
+        return flat_stripe_stats(flat, lo, hi)
+    return run
 
 
 def _square(x):
@@ -164,26 +173,28 @@ def test_a_long_lived_worker_keeps_a_bounded_set_of_attachments():
 
 
 @needs_shm
-def test_a_broken_pool_reruns_serially_and_keeps_the_snapshots():
+def test_a_broken_pool_reruns_serially_and_keeps_the_snapshots(monkeypatch):
     chaos_sweep = chaos_cells(n=10, extra_edges=12, graph_seed=4,
                               drop_rates=(0.0, 0.2))
-    handle = shm.publish(
-        param_cache(random_connected_graph(200, 200, seed=4)).flat())
+    rows = run_parallel(_die_in_worker, chaos_sweep, jobs=2, force="pool",
+                        warm=((10, 12, 4, None),))
+    assert rows == [run_chaos_cell(c) for c in chaos_sweep]
+    assert parallel._pool is None
+    flat = param_cache(random_connected_graph(200, 200, seed=4)).flat()
+    handle = shm.publish(flat)
     assert handle.spec is None  # a serial re-run cannot rebuild it
-    snapshot_sweep = snapshot_cells(handle, kind="stripe", cell_size=20)
-    for cells, warm, run_cell in (
-            (chaos_sweep, ((10, 12, 4, None),), run_chaos_cell),
-            (snapshot_sweep, (), run_snapshot_cell)):
-        rows = run_parallel(_die_in_worker, cells, jobs=2, force="pool",
-                            warm=warm)
-        assert rows == [run_cell(c) for c in cells]
+    # 40 cells of 5 vertices go out as 8 blocks of 5 cells; the worker
+    # running the fourth block dies at its third cell.
+    sweep = dict(kind="stripe", cell_size=5)
+    cells = [flat_stripe_stats(flat, lo, lo + 5) for lo in range(0, 200, 5)]
+    with monkeypatch.context() as m:
+        m.setattr(parallel, "flat_stripe_stats", _stripe_dies_in_worker_at(85))
+        assert snapshot_rows(handle, jobs=2, force="pool", **sweep) == cells
         assert parallel._pool is None
     stats = shm.stats()
     assert stats["shm_rebuilds"] == 0 and stats["shm_failures"] == 0
     assert handle.segment in os.listdir("/dev/shm")
-    assert snapshot_rows(handle, jobs=2, force="pool", kind="stripe",
-                         cell_size=20) == [run_snapshot_cell(c)
-                                           for c in snapshot_sweep]
+    assert snapshot_rows(handle, jobs=2, force="pool", **sweep) == cells
     assert parallel._pool is not None
 
 
@@ -254,3 +265,44 @@ def test_a_late_broken_map_leaves_the_next_pool_alone(monkeypatch):
     assert parallel._pool is third[0]
     assert run_parallel(_square, range(4), jobs=2, force="pool") == [0, 1, 4, 9]
     assert parallel._pool is third[0]
+
+
+# Ten maps that each break at their first cell, under the lifecycle
+# tests' switch interval; then no worker of a disposed pool may be alive.
+_BROKEN_MAPS = """
+import multiprocessing, os, sys
+from repro.experiments.parallel import run_parallel, shutdown_pool
+
+PARENT = os.getpid()
+
+def cell(i):
+    if i == 0 and os.getpid() != PARENT:
+        os._exit(1)
+    return i * i
+
+sys.setswitchinterval(1e-6)
+for _ in range(10):
+    rows = run_parallel(cell, range(400), jobs=2, force="pool", chunksize=1)
+    assert rows == [i * i for i in range(400)]
+shutdown_pool()
+print("alive", len(multiprocessing.active_children()))
+"""
+
+
+def test_broken_maps_leave_no_worker_alive():
+    # On Python 3.10 and 3.11 a broken map's pool manager thread can die
+    # before it terminates the surviving workers; they then outlive the
+    # pool and the interpreter never exits.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", _BROKEN_MAPS],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the interpreter did not exit: a pool worker outlived "
+                    "its pool")
+    assert proc.returncode == 0, err
+    assert out.split() == ["alive", "0"], err

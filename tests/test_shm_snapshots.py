@@ -18,12 +18,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.parallel import (
+    SnapshotBlock,
     pool_shm_stats,
     shutdown_pool,
-    snapshot_cells,
     snapshot_rows,
-    run_snapshot_cell,
     _dispose_pool,
 )
 from repro.graphs import (
@@ -226,26 +226,42 @@ def test_sweep_one_build_serial_pool_identity(each_backend):
         assert w["shm_attaches"] <= 1
 
 
-def test_snapshot_cells_pin_kernel_and_validate():
+def test_snapshot_cells_pin_kernel_and_validate(monkeypatch):
     flat = random_connected_flat(30, 40, seed=2)
     handle = shm.publish(flat)
-    cells = snapshot_cells(handle, kind="sources", limit=10, cell_size=4)
-    assert [(c.lo, c.hi) for c in cells] == [(0, 4), (4, 8), (8, 10)]
-    assert all(c.kernel in ("python", "numpy") for c in cells)
-    row = run_snapshot_cell(cells[0])
-    assert row["kind"] == "sources"
-    assert row["sources"] == 4
+    dispatched = []
+    real_run_parallel = parallel.run_parallel
+
+    def spy(fn, blocks, **kwargs):
+        dispatched.append(blocks)
+        return real_run_parallel(fn, blocks, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_parallel", spy)
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
+    kw = dict(kind="sources", limit=10, cell_size=4)
+    serial = snapshot_rows(handle, force="serial", **kw)
+    pooled = snapshot_rows(handle, jobs=2, force="pool", chunksize=1,
+                           kernel="numpy", **kw)
+    # The ambient backend is resolved once, in this process; a serial
+    # sweep is one block, a pooled one a block per task.
+    assert dispatched == [
+        [SnapshotBlock(handle, "sources", 0, 10, 4, "python")],
+        [SnapshotBlock(handle, "sources", lo, hi, 4, "numpy")
+         for lo, hi in ((0, 4), (4, 8), (8, 10))],
+    ]
+    assert [(r["lo"], r["hi"], r["sources"]) for r in serial] == \
+        [(0, 4, 4), (4, 8, 4), (8, 10, 2)]
+    assert pooled == serial
     with pytest.raises(ValueError):
-        snapshot_cells(handle, kind="nope")
+        snapshot_rows(handle, kind="nope")
     with pytest.raises(ValueError):
-        snapshot_cells(handle, cell_size=0)
+        snapshot_rows(handle, cell_size=0)
     with pytest.raises(ValueError):
-        snapshot_cells(handle, limit=-3)
+        snapshot_rows(handle, limit=-3)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_numpy_source_cells_follow_the_size_rule(monkeypatch):
-    from repro.experiments import parallel
     from repro.graphs import csr, npkernels
 
     calls = []
@@ -257,18 +273,19 @@ def test_numpy_source_cells_follow_the_size_rule(monkeypatch):
         return run
 
     python_kernel = csr.flat_source_stats
-    monkeypatch.setattr(csr, "flat_source_stats", spy("python", python_kernel))
-    monkeypatch.setattr(npkernels, "np_flat_source_stats",
+    monkeypatch.setattr(parallel, "flat_source_stats",
+                        spy("python", python_kernel))
+    monkeypatch.setattr(parallel, "np_flat_source_stats",
                         spy("numpy", npkernels.np_flat_source_stats))
     for n, kernel in ((48, "python"), (200, "numpy")):
         flat = random_connected_flat(n, n, seed=5)
         assert (flat.m2 > parallel._PY_SOURCES_MAX_M2) == (kernel == "numpy")
-        cells = snapshot_cells(shm.publish(flat), kind="sources", limit=7,
-                               cell_size=3, kernel="numpy")
         calls.clear()
-        rows = [run_snapshot_cell(c) for c in cells]
-        assert calls == [kernel] * len(cells)
-        assert rows == [python_kernel(flat, c.lo, c.hi) for c in cells]
+        rows = snapshot_rows(shm.publish(flat), kind="sources", limit=7,
+                             cell_size=3, kernel="numpy", force="serial")
+        assert calls == [kernel] * 3
+        assert rows == [python_kernel(flat, lo, min(lo + 3, 7))
+                        for lo in (0, 3, 6)]
 
 
 def test_pool_rebuild_does_not_unlink_segments():
