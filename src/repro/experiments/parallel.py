@@ -546,7 +546,7 @@ def snapshot_rows(
     batch: int | None = None,
     chunksize: int | None = None,
 ) -> list[dict]:
-    """Sweep a published snapshot, optionally sharded; one row per cell.
+    """Sweep a published snapshot, optionally sharded; a row per cell, in order.
 
     ``limit`` caps how many vertices (``"stripe"``) or sources
     (``"sources"``) the sweep covers (big-tier runs sample a prefix), and
