@@ -25,6 +25,11 @@ Two authorization policies are provided:
   twice the threshold, guaranteeing total consumption ``<= 2 * threshold``
   while leaving executions within the threshold untouched.  Overhead:
   ``O(c_pi * log^2 c_pi)`` (Corollary 5.1), reproduced in the benchmarks.
+
+:class:`ControlledHost` runs ``pi`` behind a
+:class:`~repro.sim.process.HostedContext`: every inner send goes to
+:meth:`ControlledHost.controlled_send`, which queues it until permits
+cover it, and the inner ``finish`` finishes the host.
 """
 
 from __future__ import annotations
@@ -35,44 +40,9 @@ from typing import Any
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
 from ..sim.network import Network, RunResult
-from ..sim.process import Process
+from ..sim.process import HostedContext, Process
 
 __all__ = ["ControlledHost", "run_controlled", "run_controlled_multi", "ControlOutcome"]
-
-
-class _InnerShim:
-    """Process-context shim that routes the inner protocol's sends through
-    the controller's permit machinery."""
-
-    def __init__(self, host: ControlledHost) -> None:
-        self._host = host
-        self.node_id = host.node_id
-        self.neighbors = host.ctx.neighbors
-        self.weights = host.ctx.weights
-        self.is_finished = False
-        self.result: Any = None
-
-    @property
-    def now(self) -> float:
-        return self._host.ctx.now
-
-    def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
-        self._host.controlled_send(to, payload, size, tag)
-
-    def set_timer(self, delay, callback) -> None:
-        self._host.ctx.set_timer(delay, callback)
-
-    def span(self, name: str, detail: Any = None):
-        return self._host.ctx.span(name, detail)
-
-    def trace_pulse(self, pulse: int) -> None:
-        self._host.ctx.trace_pulse(pulse)
-
-    def finish(self, result: Any) -> None:
-        if not self.is_finished:
-            self.is_finished = True
-            self.result = result
-            self._host.inner_finished(result)
 
 
 class ControlledHost(Process):
@@ -112,7 +82,8 @@ class ControlledHost(Process):
     def on_start(self) -> None:
         # Every node initializes its local protocol state; in the diffusing
         # model non-initiators stay passive until their first message.
-        self.inner.ctx = _InnerShim(self)
+        self.inner.ctx = HostedContext(self.ctx, self.controlled_send,
+                                       self.finish)
         self.inner.on_start()
 
     def on_message(self, frm: Vertex, payload: Any) -> None:
@@ -239,9 +210,6 @@ class ControlledHost(Process):
             for v in self.neighbors():
                 if v != frm:
                     self.send(v, ("halt",), tag="ctl-halt")
-
-    def inner_finished(self, result: Any) -> None:
-        self.finish(result)
 
 
 class ControlOutcome:

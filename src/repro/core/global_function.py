@@ -133,7 +133,6 @@ def compute_global_function(
     seed: int = 0,
     faults: FaultPlan | None = None,
     reliable: bool = False,
-    transport: dict | None = None,
 ) -> tuple[RunResult, Any]:
     """Compute ``func`` over ``inputs`` with O(V) communication, O(D) time.
 
@@ -142,7 +141,7 @@ def compute_global_function(
     then runs the two-phase protocol.  Returns (run result, global value);
     every node's local result equals the global value.  ``faults`` injects
     an adversary; ``reliable=True`` makes the protocol survive it via the
-    retransmitting transport (options in ``transport``).
+    retransmitting transport.
     """
     if set(inputs) != set(graph.vertices):
         raise ValueError("inputs must provide a value for every vertex")
@@ -155,7 +154,7 @@ def compute_global_function(
         parent[v], children[v], inputs[v], func
     )
     if reliable:
-        factory = reliable_factory(factory, **(transport or {}))
+        factory = reliable_factory(factory)
     net = Network(tree, factory, delay=delay, seed=seed, faults=faults)
     result = net.run()
     value = result.result_of(root)

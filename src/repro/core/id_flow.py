@@ -13,7 +13,10 @@ This module makes that information flow *observable* on real runs:
   the set of vertex ids it has learned — a priori (its own id and its
   neighbors' ids, the paper's "registers") plus every id appearing in a
   received payload (including inside GHS fragment names, which embed
-  endpoint reprs);
+  endpoint reprs).  It hosts the protocol behind a
+  :class:`~repro.sim.process.HostedContext` whose ``send`` counts the ids
+  each payload carries before sending it unchanged, and whose ``finish``
+  finishes the wrapper;
 * :func:`meeting_points` lists where two ids came together;
 * :func:`id_crossings` counts, per id, how many edge crossings carried
   it — the quantity Lemma 7.2 sums.
@@ -33,7 +36,7 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.network import Network, RunResult
-from ..sim.process import Process
+from ..sim.process import HostedContext, Process
 
 __all__ = [
     "extract_ids",
@@ -76,38 +79,6 @@ def _scan(obj: Any, universe: frozenset, found: set) -> None:
                 found.add(v)
 
 
-class _AuditShim:
-    """Pass-through context that lets the auditor observe traffic."""
-
-    def __init__(self, outer: IdAuditedProcess) -> None:
-        self._outer = outer
-        self.node_id = outer.ctx.node_id
-        self.neighbors = outer.ctx.neighbors
-        self.weights = outer.ctx.weights
-
-    @property
-    def now(self):
-        return self._outer.ctx.now
-
-    @property
-    def is_finished(self):
-        return self._outer.ctx.is_finished
-
-    @property
-    def result(self):
-        return self._outer.ctx.result
-
-    def send(self, to, payload, size, tag):
-        self._outer.record_send(payload)
-        self._outer.ctx.send(to, payload, size, tag)
-
-    def set_timer(self, delay, callback):
-        self._outer.ctx.set_timer(delay, callback)
-
-    def finish(self, result):
-        self._outer.ctx.finish(result)
-
-
 class IdAuditedProcess(Process):
     """Wraps a protocol instance, recording the ids it learns and ships."""
 
@@ -121,12 +92,15 @@ class IdAuditedProcess(Process):
         # A priori knowledge: own id and the neighbor registers.
         self.known.add(self.node_id)
         self.known.update(self.neighbors())
-        self.inner.ctx = _AuditShim(self)
+        self.inner.ctx = HostedContext(self.ctx, self._audited_send,
+                                       self.finish)
         self.inner.on_start()
 
-    def record_send(self, payload: Any) -> None:
+    def _audited_send(self, to: Vertex, payload: Any, size: float,
+                      tag: str | None) -> None:
         for vid in extract_ids(payload, self.universe):
             self.sent_crossings[vid] += 1
+        self.ctx.send(to, payload, size, tag)
 
     def on_message(self, frm: Vertex, payload: Any) -> None:
         self.known |= extract_ids(payload, self.universe)

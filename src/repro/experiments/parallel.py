@@ -245,12 +245,12 @@ def _task_plan(
     n_cells: int,
     jobs: int | None,
     force: str | None,
-    batch: int | None,
     chunksize: int | None,
+    batch: int | None = None,
 ) -> tuple[int, int]:
     """``(workers, cells per pool task)`` for a map of ``n_cells``, as
-    :func:`run_parallel` documents its options; ``(0, n_cells)`` when the
-    map runs serially."""
+    :func:`run_parallel` and :func:`snapshot_rows` document their options;
+    ``(0, n_cells)`` when the map runs serially."""
     if force not in (None, "serial", "pool"):
         raise ValueError(f"force must be None, 'serial', or 'pool': {force!r}")
     if force == "pool":
@@ -283,7 +283,6 @@ def run_parallel(
     chunksize: int | None = None,
     warm: tuple = (),
     force: str | None = None,
-    batch: int | None = None,
 ) -> list[_R]:
     """Map ``fn`` over ``cells``, sharding across the persistent pool.
 
@@ -297,10 +296,9 @@ def run_parallel(
     dataclass cells).  Results always come back in cell order, so
     callers can merge by concatenation.
 
-    Each pool task is a group of cells.  A group holds ``chunksize``
-    cells (``None``: the plan's adaptive chunksize), and at least
-    ``batch`` when that is set, so huge sweeps of cheap cells pay one
-    pickle round-trip per group; serial runs ignore both.
+    Each pool task is a group of ``chunksize`` cells (``None``: the
+    plan's adaptive chunksize), so huge sweeps of cheap cells pay one
+    pickle round-trip per group; serial runs ignore it.
     :func:`snapshot_rows` sizes its blocks by this same plan and maps
     them one block per task, so a snapshot sweep's cells are never
     pickled one by one.  ``warm``
@@ -321,7 +319,7 @@ def run_parallel(
     description, so a re-run is byte-identical.
     """
     cells = list(cells)
-    workers, size = _task_plan(len(cells), jobs, force, batch, chunksize)
+    workers, size = _task_plan(len(cells), jobs, force, chunksize)
     if not workers:
         return [fn(c) for c in cells]
     references: dict = {}
@@ -554,14 +552,15 @@ def snapshot_rows(
     ambient backend once, here (see :class:`SnapshotBlock`).
 
     The cell count chooses serial or pool as in :func:`run_parallel`,
-    and ``jobs``, ``force``, ``batch`` and ``chunksize`` keep their
-    meaning there: ``batch`` and ``chunksize`` count cells per pool task.
-    Each task is one :class:`SnapshotBlock` of that many cells; a serial
-    sweep is one block.  A process attaches the segment once per block
-    and runs every cell zero-copy against it: exactly one graph build per
-    sweep, which :func:`pool_shm_stats` lets callers assert.  The pool is
-    the one every sweep shares, so a new handle needs no new workers.
-    Serial and pooled row lists are byte-identical.
+    and ``jobs``, ``force`` and ``chunksize`` keep their meaning there:
+    ``chunksize`` counts cells per pool task, and ``batch``, when set, is
+    the least number of cells a task holds.  Each task is one
+    :class:`SnapshotBlock` of that many cells; a serial sweep is one
+    block.  A process attaches the segment once per block and runs every
+    cell zero-copy against it: exactly one graph build per sweep, which
+    :func:`pool_shm_stats` lets callers assert.  The pool is the one every
+    sweep shares, so a new handle needs no new workers.  Serial and pooled
+    row lists are byte-identical.
     """
     if kind not in ("stripe", "sources"):
         raise ValueError(f"kind must be 'stripe' or 'sources': {kind!r}")
@@ -572,8 +571,8 @@ def snapshot_rows(
     if kernel is None:
         kernel = kernel_backend()
     count = handle.n if limit is None else min(limit, handle.n)
-    workers, size = _task_plan(-(-count // cell_size), jobs, force, batch,
-                               chunksize)
+    workers, size = _task_plan(-(-count // cell_size), jobs, force,
+                               chunksize, batch)
     span = max(1, size) * cell_size
     blocks = [SnapshotBlock(handle, kind, lo, min(lo + span, count),
                             cell_size, kernel)

@@ -140,7 +140,6 @@ def run_chaos(
     *,
     plan: FaultPlan | None = None,
     reliable: bool = True,
-    transport: dict | None = None,
     watchdog_time: float = float("inf"),
     max_events: int = 2_000_000,
     delay: DelayModel | None = None,
@@ -176,7 +175,7 @@ def run_chaos(
     from ..analysis.race import SharedStateViolation
 
     if reliable:
-        factory = reliable_factory(factory, **(transport or {}))
+        factory = reliable_factory(factory)
     net = Network(graph, factory, delay=delay, seed=seed,
                   serialize=serialize, faults=plan, recorder=recorder,
                   race_detect=race_detect)

@@ -1,14 +1,15 @@
 """A cost-accounted reliable transport over lossy weighted channels.
 
 :class:`ReliableProcess` wraps any :class:`~repro.sim.process.Process`
-without modifying protocol code (the same shim-context technique as
-:class:`~repro.protocols.termination.DSHost`): every send of the inner
-protocol is framed with a per-destination sequence number, acknowledged
-by the receiver, and retransmitted on timeout until acknowledged; the
-receiver suppresses duplicates and releases frames to the inner protocol
-*in sequence order*, restoring the FIFO-channel abstraction the protocols
-were written against even when the adversary drops, duplicates, corrupts
-or reorders transmissions.
+without modifying protocol code.  It hosts the inner process behind a
+:class:`~repro.sim.process.HostedContext` whose ``send`` is the
+transport's and whose ``finish`` finishes the wrapper too.  Every send of
+the inner protocol is framed with a per-destination sequence number,
+acknowledged by the receiver, and retransmitted on timeout until
+acknowledged; the receiver suppresses duplicates and releases frames to
+the inner protocol *in sequence order*, restoring the FIFO-channel
+abstraction the protocols were written against even when the adversary
+drops, duplicates, corrupts or reorders transmissions.
 
 Timeouts follow the cost model: a full data+ack round trip over edge
 ``e`` takes at most ``2 w(e)`` (each hop's delay is bounded by ``w(e)``),
@@ -34,7 +35,7 @@ from collections.abc import Callable
 from typing import Any
 
 from ..graphs.weighted_graph import Vertex
-from ..sim.process import Process
+from ..sim.process import HostedContext, Process
 from .plan import CorruptedPayload
 
 __all__ = ["ACK_TAG", "RETRY_TAG", "ReliableProcess", "reliable_factory",
@@ -45,52 +46,6 @@ RETRY_TAG = "rel-retry"
 
 _DATA = "rel-data"
 _ACK = "rel-ack"
-
-
-class _ReliableContext:
-    """Shim context giving the wrapped protocol the normal Process surface."""
-
-    __slots__ = ("_outer", "is_finished", "result")
-
-    def __init__(self, outer: ReliableProcess) -> None:
-        self._outer = outer
-        self.is_finished = False
-        self.result: Any = None
-
-    @property
-    def node_id(self) -> Vertex:
-        return self._outer.ctx.node_id
-
-    @property
-    def neighbors(self) -> list:
-        return self._outer.ctx.neighbors
-
-    @property
-    def weights(self) -> dict:
-        return self._outer.ctx.weights
-
-    @property
-    def now(self) -> float:
-        return self._outer.ctx.now
-
-    def send(self, to: Vertex, payload: Any, size: float,
-             tag: str | None) -> None:
-        self._outer._send_data(to, payload, size, tag)
-
-    def set_timer(self, delay: float, callback: Callable[[], None]) -> None:
-        self._outer.ctx.set_timer(delay, callback)
-
-    def span(self, name: str, detail: Any = None):
-        return self._outer.ctx.span(name, detail)
-
-    def trace_pulse(self, pulse: int) -> None:
-        self._outer.ctx.trace_pulse(pulse)
-
-    def finish(self, result: Any) -> None:
-        if not self.is_finished:
-            self.is_finished = True
-            self.result = result
-            self._outer.finish(result)
 
 
 class ReliableProcess(Process):
@@ -158,10 +113,9 @@ class ReliableProcess(Process):
 
     def on_start(self) -> None:
         # Spans are opened only when a recorder observes this node, which
-        # is fixed for the run; a context without the flag keeps opening
-        # them (its span() decides).
-        self._recorded = getattr(self.ctx, "recorded", True)
-        self.inner.ctx = _ReliableContext(self)
+        # is fixed for the run.
+        self._recorded = self.ctx.recorded
+        self.inner.ctx = HostedContext(self.ctx, self._send_data, self.finish)
         self.inner.on_start()
 
     def on_recover(self) -> None:

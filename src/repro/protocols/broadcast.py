@@ -66,18 +66,16 @@ def run_flood(
     seed: int = 0,
     faults: FaultPlan | None = None,
     reliable: bool = False,
-    transport: dict | None = None,
 ) -> tuple[RunResult, WeightedGraph]:
     """Flood ``payload`` from ``initiator``; return (run result, flood tree).
 
     The flood tree is the spanning tree formed by each node's parent
     pointer (rooted at the initiator).  Under a ``faults`` adversary,
-    ``reliable=True`` wraps every node in the retransmitting transport
-    (``transport`` passes options through to ``ReliableProcess``).
+    ``reliable=True`` wraps every node in the retransmitting transport.
     """
     factory = lambda v: FloodProcess(v == initiator, payload)
     if reliable:
-        factory = reliable_factory(factory, **(transport or {}))
+        factory = reliable_factory(factory)
     net = Network(graph, factory, delay=delay, seed=seed, faults=faults)
     result = net.run()
     tree = WeightedGraph(vertices=graph.vertices)

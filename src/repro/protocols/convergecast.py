@@ -124,13 +124,12 @@ def run_tree_broadcast(
     seed: int = 0,
     faults: FaultPlan | None = None,
     reliable: bool = False,
-    transport: dict | None = None,
 ) -> RunResult:
     """Broadcast ``value`` down ``tree`` from ``root``; cost w(T), time depth(T)."""
     _, children = rooted_tree_structure(tree, root)
     factory = lambda v: BroadcastProcess(children[v], v == root, value)
     if reliable:
-        factory = reliable_factory(factory, **(transport or {}))
+        factory = reliable_factory(factory)
     net = Network(tree, factory, delay=delay, seed=seed, faults=faults)
     return net.run()
 
@@ -145,7 +144,6 @@ def run_convergecast(
     seed: int = 0,
     faults: FaultPlan | None = None,
     reliable: bool = False,
-    transport: dict | None = None,
 ) -> tuple[RunResult, Any]:
     """Aggregate ``values`` up ``tree``; returns (run result, root aggregate)."""
     parent, children = rooted_tree_structure(tree, root)
@@ -153,7 +151,7 @@ def run_convergecast(
         parent[v], children[v], values[v], combine
     )
     if reliable:
-        factory = reliable_factory(factory, **(transport or {}))
+        factory = reliable_factory(factory)
     net = Network(tree, factory, delay=delay, seed=seed, faults=faults)
     result = net.run()
     return result, result.result_of(root)

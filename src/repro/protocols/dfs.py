@@ -183,7 +183,6 @@ def run_dfs(
     budget: float | None = None,
     faults: FaultPlan | None = None,
     reliable: bool = False,
-    transport: dict | None = None,
 ) -> tuple[RunResult, WeightedGraph | None]:
     """Run token DFS from ``root``; returns (run result, DFS spanning tree).
 
@@ -195,7 +194,7 @@ def run_dfs(
     """
     net = _dfs_network(graph, root, governor=governor, delay=delay,
                        seed=seed, budget=budget, faults=faults,
-                       reliable=reliable, transport=transport)
+                       reliable=reliable)
     return _dfs_outcome(net, root)
 
 
@@ -209,12 +208,11 @@ def _dfs_network(
     budget: float | None = None,
     faults: FaultPlan | None = None,
     reliable: bool = False,
-    transport: dict | None = None,
 ) -> Network:
     """:func:`run_dfs`'s network, not yet run."""
     factory = lambda v: DfsProcess(v == root, governor)
     if reliable:
-        factory = reliable_factory(factory, **(transport or {}))
+        factory = reliable_factory(factory)
     return Network(
         graph,
         factory,

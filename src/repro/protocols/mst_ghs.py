@@ -459,7 +459,6 @@ def _ghs_network(graph: WeightedGraph, parallel_scan: bool, delay,
                  budget: float | None = None,
                  faults: FaultPlan | None = None,
                  reliable: bool = False,
-                 transport: dict | None = None,
                  ) -> Network:
     """A GHS run's network, not yet run."""
     if graph.num_vertices < 2:
@@ -467,7 +466,7 @@ def _ghs_network(graph: WeightedGraph, parallel_scan: bool, delay,
     n = graph.num_vertices
     factory = lambda v: GhsProcess(parallel_scan, n_total=n)
     if reliable:
-        factory = reliable_factory(factory, **(transport or {}))
+        factory = reliable_factory(factory)
     return Network(
         graph,
         factory,
@@ -500,11 +499,10 @@ def run_mst_ghs(
     budget: float | None = None,
     faults: FaultPlan | None = None,
     reliable: bool = False,
-    transport: dict | None = None,
 ) -> tuple[RunResult, WeightedGraph | None]:
     """Algorithm MST_ghs: classical GHS (serial edge scan)."""
     return _ghs_outcome(_ghs_network(graph, False, delay, seed, budget,
-                                     faults, reliable, transport),
+                                     faults, reliable),
                         max_events)
 
 
@@ -517,9 +515,8 @@ def run_mst_fast(
     budget: float | None = None,
     faults: FaultPlan | None = None,
     reliable: bool = False,
-    transport: dict | None = None,
 ) -> tuple[RunResult, WeightedGraph | None]:
     """Algorithm MST_fast: guess-doubling threshold + parallel edge scan."""
     return _ghs_outcome(_ghs_network(graph, True, delay, seed, budget,
-                                     faults, reliable, transport),
+                                     faults, reliable),
                         max_events)

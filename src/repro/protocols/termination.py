@@ -16,6 +16,11 @@ detector announces termination to every participant.
 In the weighted model the detector exactly doubles the communication cost
 (one ack of cost w(e) per protocol message) and adds O(script-D) time for
 the final announcement.
+
+:class:`DSHost` runs the protocol behind a
+:class:`~repro.sim.process.HostedContext` whose ``send`` is
+:meth:`DSHost.ds_send`.  The inner ``finish`` only records the inner
+result; the host finishes when termination is announced.
 """
 
 from __future__ import annotations
@@ -25,36 +30,9 @@ from typing import Any
 from ..graphs.weighted_graph import Vertex, WeightedGraph
 from ..sim.delays import DelayModel
 from ..sim.network import Network, RunResult, all_finished
-from ..sim.process import Process
+from ..sim.process import HostedContext, Process
 
 __all__ = ["DSHost", "run_with_termination_detection"]
-
-
-class _InnerShim:
-    """Routes the hosted protocol's sends through the DS accounting."""
-
-    def __init__(self, host: DSHost) -> None:
-        self._host = host
-        self.node_id = host.node_id
-        self.neighbors = host.ctx.neighbors
-        self.weights = host.ctx.weights
-        self.is_finished = False
-        self.result: Any = None
-
-    @property
-    def now(self) -> float:
-        return self._host.ctx.now
-
-    def send(self, to: Vertex, payload: Any, size: float, tag: str | None) -> None:
-        self._host.ds_send(to, payload, size, tag)
-
-    def set_timer(self, delay, callback) -> None:
-        self._host.ctx.set_timer(delay, callback)
-
-    def finish(self, result: Any) -> None:
-        if not self.is_finished:
-            self.is_finished = True
-            self.result = result
 
 
 class DSHost(Process):
@@ -74,7 +52,7 @@ class DSHost(Process):
         self.terminated = False
 
     def on_start(self) -> None:
-        self.inner.ctx = _InnerShim(self)
+        self.inner.ctx = HostedContext(self.ctx, self.ds_send)
         self.inner.on_start()
         if self.is_initiator:
             self._check_quiescent()

@@ -18,8 +18,7 @@ subsystem turns that property into a service:
 * :class:`~repro.serve.service.ServeService` is the asyncio core:
   cache lookup, **single-flight** dedupe of identical in-flight
   requests, capacity-limited admission, and fan-out of cold requests to
-  the persistent process pool (:mod:`repro.experiments.parallel`) with
-  batched dispatch of small cells;
+  the persistent process pool (:mod:`repro.experiments.parallel`);
 * :class:`~repro.serve.server.ServeServer` reads JSON request lines over
   TCP (``python -m repro.serve``) and answers each with a ``meta`` line
   and a frame of the payload's canonical bytes, the same bytes the store

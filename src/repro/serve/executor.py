@@ -17,12 +17,12 @@ cell first and then shipped with every task of the sweep, so no worker
 simulates outside a cell it ran.  Without a pool the same cells run
 in-process.
 
-Small-cell batching: chaos sweeps with many cells are dispatched in
-grouped batches (``run_parallel(..., batch=...)``), so a pooled request
-pays one pickle round-trip per *group* rather than per cell.  A
-snapshot request goes through ``snapshot_rows``, whose pool tasks are
-blocks: one picklable vertex or source range each, attached once in the
-worker, whatever its number of cells.
+A pooled sweep's cells are grouped into pool tasks by
+:func:`~repro.experiments.parallel.parallel_plan`'s chunk size, like any
+other ``run_parallel`` map.  A snapshot request goes through
+``snapshot_rows``, whose pool tasks are blocks: one picklable vertex or
+source range each, attached once in the worker, whatever its number of
+cells.
 """
 
 from __future__ import annotations
@@ -35,21 +35,12 @@ from .address import RequestError
 if TYPE_CHECKING:
     from ..experiments.chaos import RunSpec
 
-__all__ = ["execute_request", "run_trace_cell", "BATCH_THRESHOLD", "BATCH_SIZE"]
-
-# Grouped dispatch kicks in at this many cells; below it, per-cell
-# dispatch balances better and pickling is already cheap.
-BATCH_THRESHOLD = 64
-BATCH_SIZE = 16
+__all__ = ["execute_request", "run_trace_cell"]
 
 
 # Held while a snapshot request looks up or builds its graph: concurrent
 # cold requests over one spec then build it once.
 _snapshot_lock = threading.Lock()
-
-
-def _auto_batch(n_cells: int) -> int | None:
-    return BATCH_SIZE if n_cells >= BATCH_THRESHOLD else None
 
 
 def _force(jobs: int | None) -> str | None:
@@ -84,7 +75,7 @@ def _execute_sweep(canon: dict, jobs: int | None) -> list[dict]:
         _seed_references(run_parallel(_warm_references, [warm], jobs=jobs,
                                       force=force)[0])
     return run_parallel(run_chaos_cell, cells, jobs=jobs, warm=warm,
-                        force=force, batch=_auto_batch(len(cells)))
+                        force=force)
 
 
 def _execute_chaos(canon: dict, jobs: int | None) -> dict:

@@ -4,7 +4,7 @@ from .delays import DelayModel, MaximalDelay, PerEdgeDelay, ScaledDelay, Uniform
 from .events import EventQueue
 from .metrics import Metrics
 from .network import MaxEventsExceeded, Network, RunResult, all_finished
-from .process import Process
+from .process import HostedContext, Process
 from .sync_runner import (
     SyncContext,
     SynchronousProtocol,
@@ -16,6 +16,7 @@ __all__ = [
     "EventQueue",
     "Metrics",
     "Process",
+    "HostedContext",
     "Network",
     "RunResult",
     "MaxEventsExceeded",

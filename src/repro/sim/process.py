@@ -6,6 +6,12 @@ events — protocol start and message arrival — and may set local timers.
 All knowledge a process has must arrive through these channels or be given
 at construction time (the paper's "full information" algorithms are modeled
 by handing the factory the whole graph).
+
+A *host* is a process that runs another process inside itself — the
+reliable transport, the controller, termination detection and the id
+audit are hosts.  Every host hands the process it wraps a
+:class:`HostedContext` built from its own context; only where the inner
+sends go and what the inner's ``finish`` does are the host's to decide.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Any
 
 from ..graphs.weighted_graph import Vertex
 
-__all__ = ["Process"]
+__all__ = ["HostedContext", "Process"]
 
 
 class Process:
@@ -26,7 +32,9 @@ class Process:
     calling ``on_start``; the helpers below all delegate to it.
     """
 
-    ctx: Any  # injected _NodeContext; typed Any to avoid the import cycle
+    # Injected _NodeContext, or a HostedContext when a host wraps this
+    # process; typed Any to avoid the import cycle.
+    ctx: Any
 
     # ------------------------------------------------------------------ #
     # Framework surface (subclasses override these)
@@ -97,3 +105,49 @@ class Process:
     @property
     def finished(self) -> bool:
         return self.ctx.is_finished
+
+
+class HostedContext:
+    """The context a host process hands the process it wraps.
+
+    Built in the host's ``on_start`` from the host's own ``ctx``: the node
+    id, neighbours, weights and ``recorded`` flag are copied; the clock,
+    timers, ``span`` and ``trace_pulse`` are forwarded, so the inner
+    process has the whole :class:`Process` surface.  The host decides two
+    things: ``send(to, payload, size, tag)`` receives every inner send,
+    and ``on_finish(result)``, when given, runs the first time the inner
+    process finishes.  The inner's own ``is_finished`` and ``result`` live
+    here.
+    """
+
+    __slots__ = ("_ctx", "node_id", "neighbors", "weights", "recorded",
+                 "send", "set_timer", "span", "trace_pulse", "_on_finish",
+                 "is_finished", "result")
+
+    def __init__(self, ctx: Any,
+                 send: Callable[[Vertex, Any, float, str | None], None],
+                 on_finish: Callable[[Any], None] | None = None) -> None:
+        self._ctx = ctx
+        self.node_id = ctx.node_id
+        self.neighbors = ctx.neighbors
+        self.weights = ctx.weights
+        self.recorded = ctx.recorded
+        self.send = send
+        self.set_timer = ctx.set_timer
+        self.span = ctx.span
+        self.trace_pulse = ctx.trace_pulse
+        self._on_finish = on_finish
+        self.is_finished = False
+        self.result: Any = None
+
+    @property
+    def now(self) -> float:
+        return self._ctx.now
+
+    def finish(self, result: Any) -> None:
+        """Record the inner result; the first call also runs ``on_finish``."""
+        if not self.is_finished:
+            self.is_finished = True
+            self.result = result
+            if self._on_finish is not None:
+                self._on_finish(result)

@@ -33,13 +33,15 @@ class SyncContext:
     """Per-node API handed to a synchronous protocol.
 
     ``send`` is only legal inside ``on_pulse``; the hosting runner (or
-    synchronizer) collects the outgoing messages of the current pulse.
+    the in-synch wrapper) collects the outgoing messages of the current
+    pulse.  ``weights`` maps each neighbour to its edge weight.
     """
 
-    def __init__(self, node_id: Vertex, graph: WeightedGraph) -> None:
+    def __init__(self, node_id: Vertex, neighbors: list[Vertex],
+                 weights: dict[Vertex, float]) -> None:
         self.node_id = node_id
-        self.neighbors = graph.neighbors(node_id)
-        self.weights = graph.neighbor_weights(node_id)
+        self.neighbors = neighbors
+        self.weights = weights
         self.outbox: list[tuple[Vertex, Any]] = []
         self.finished = False
         self.result: Any = None
@@ -132,7 +134,8 @@ class SynchronousRunner:
         self.protocols: dict[Vertex, SynchronousProtocol] = {}
         for v in graph.vertices:
             proto = factory(v)
-            proto.sync = SyncContext(v, graph)
+            proto.sync = SyncContext(v, graph.neighbors(v),
+                                     graph.neighbor_weights(v))
             self.protocols[v] = proto
         # inflight[pulse][node] -> list of (frm, payload) arriving at that pulse
         self._inflight: dict[int, dict[Vertex, list]] = defaultdict(

@@ -44,7 +44,12 @@ __all__ = ["HostSyncShim", "SyncResult", "SynchronizerHostBase", "run_hosts",
 
 
 class HostSyncShim:
-    """SyncContext look-alike handed to the hosted InSynchWrapper."""
+    """SyncContext look-alike handed to the hosted InSynchWrapper.
+
+    Unlike a :class:`~repro.sim.sync_runner.SyncContext`, it buffers
+    nothing: each message the wrapper flushes goes out through the host
+    at once, before the host's ``finish`` that the same pulse may call.
+    """
 
     def __init__(self, host: SynchronizerHostBase) -> None:
         self._host = host

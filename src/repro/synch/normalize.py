@@ -20,6 +20,11 @@ The three steps of the paper map onto :class:`InSynchWrapper` as follows:
   ``next_power(4S)``, the first pulse ``>= 4S`` divisible by ``power(w)``;
   since ``next_power(4S) + power(w) <= 4S + 4w - 1 < 4(S + w)``, the
   message still arrives before its processing time.
+
+The wrapper hosts ``pi`` like a synchronous runner would: at its first
+pulse it hands ``pi`` a plain :class:`~repro.sim.sync_runner.SyncContext`
+with the host's neighbours and the *original* weights, and after each
+inner pulse it drains that context's outbox into its own send schedule.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections import defaultdict
 from typing import Any
 
 from ..graphs.weighted_graph import Vertex, WeightedGraph
-from ..sim.sync_runner import SynchronousProtocol
+from ..sim.sync_runner import SyncContext, SynchronousProtocol
 
 __all__ = ["power", "next_multiple", "normalize_graph", "InSynchWrapper"]
 
@@ -77,45 +82,14 @@ class InSynchWrapper(SynchronousProtocol):
         # inner inbox buffered by inner processing time
         self._inner_inbox: dict[int, list] = defaultdict(list)
         self._pending_sends = 0
-        self.inner.sync = InSynchWrapper._InnerSync(self)
-
-    # The runner injects self.sync; the inner protocol gets a shim that
-    # captures its sends so we can defer them.
-    class _InnerSync:
-        def __init__(self, outer: InSynchWrapper) -> None:
-            self._outer = outer
-            self.outbox: list = []
-            self.finished = False
-            self.result: Any = None
-
-        @property
-        def node_id(self):
-            return self._outer.sync.node_id
-
-        @property
-        def neighbors(self):
-            return self._outer.sync.neighbors
-
-        @property
-        def weights(self):
-            # The inner protocol sees the ORIGINAL weights.
-            return self._outer.original_weights
-
-        def send(self, to, payload):
-            if to not in self.weights:
-                raise ValueError(f"no edge to {to!r}")
-            self.outbox.append((to, payload))
-
-        def finish(self, result=None):
-            if not self.finished:
-                self.finished = True
-                self.result = result
-
-        def drain(self):
-            out, self.outbox = self.outbox, []
-            return out
 
     def on_pulse(self, pulse: int, inbox: list[tuple[Vertex, Any]]) -> None:
+        if pulse == 0:
+            # The host has injected self.sync by now.  The inner protocol
+            # sees the host's neighbours with the ORIGINAL weights.
+            self.inner.sync = SyncContext(self.sync.node_id,
+                                          self.sync.neighbors,
+                                          self.original_weights)
         # Buffer arrivals until their inner processing time 4 * (S + w).
         for frm, wire in inbox:
             payload, sent_inner = wire
